@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 from .exact import EXACT_CAP_DEFAULT, failed_zero_forcing_number, zero_forcing_number
@@ -456,7 +456,7 @@ def run_census(
             if pool is None:
                 records = (_evaluate(s, cap) for s in stream)
             else:
-                records = pool.imap(_EvalTask(cap), stream, chunksize=64)
+                records = pool.imap(partial(_evaluate, cap=cap), stream, chunksize=64)
             for record in records:
                 table.add(record)
     finally:
@@ -466,12 +466,3 @@ def run_census(
     table.finalize()
     return table
 
-
-class _EvalTask:
-    """Picklable evaluation callable for worker pools."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-
-    def __call__(self, graph6: str) -> GraphRecord:
-        return _evaluate(graph6, self.cap)

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .census import run_census
 from .exact import (
+    EXACT_CAP_DEFAULT,
     ExactCapExceeded,
     failed_zero_forcing_number,
     zero_forcing_number,
@@ -24,8 +25,6 @@ from .forcing import derived_set, is_zero_forcing
 from .graph6_io import Graph6Error, parse_graph6
 from .graph_core import Graph, is_connected, vertices_of
 from .witness import ConstructionError, verify_witness, witness_general
-
-CLI_EXACT_CAP = 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,7 +45,7 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="exact numbers and a verified construction")
     analyze.add_argument("graphs", nargs="*", help="graph6 records (default: stdin lines)")
-    analyze.add_argument("--exact-cap", type=int, default=CLI_EXACT_CAP,
+    analyze.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
                          help="largest n for exhaustive search (default %(default)s)")
     analyze.add_argument("--format", choices=("table", "structured"), default="table")
 
@@ -62,7 +61,7 @@ def _build_parser() -> _Parser:
                         help="graph6 file overriding built-in generation for one n")
     census.add_argument("--output", help="also write the structured document here")
     census.add_argument("--format", choices=("table", "structured"), default="table")
-    census.add_argument("--exact-cap", type=int, default=CLI_EXACT_CAP)
+    census.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT)
     census.add_argument("--fail-fast", action="store_true",
                         help="stop on malformed graph6 records instead of skipping")
     return parser
@@ -77,7 +76,7 @@ def _input_records(args_graphs: list[str]) -> list[str]:
 def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
     """Build the per-graph document; returns (document, all verifications ok)."""
     doc: dict = {
-        "schema": "zeroforcing-analysis/1",
+        "schema": "zeroforcing-analysis/2",
         "graph6": graph6,
         "n": g.n,
         "edges": g.edge_count(),
@@ -112,7 +111,6 @@ def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
         "set": list(vertices_of(report.filled)),
         "route": report.route,
         "guaranteed_bound": report.guaranteed_bound,
-        "stalled": report.stalled,
         "verified": verdict.ok,
         "failures": list(verdict.failures),
     }
@@ -123,13 +121,12 @@ def _witness_document(graph6: str, g: Graph) -> tuple[dict, bool]:
     report = witness_general(g)
     verdict = verify_witness(g, report)
     doc = {
-        "schema": "zeroforcing-witness/1",
+        "schema": "zeroforcing-witness/2",
         "graph6": graph6,
         "n": g.n,
         "set": list(vertices_of(report.filled)),
         "route": report.route,
         "guaranteed_bound": report.guaranteed_bound,
-        "stalled": report.stalled,
         "verified": verdict.ok,
         "failures": list(verdict.failures),
     }

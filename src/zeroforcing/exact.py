@@ -17,7 +17,7 @@ from typing import Iterator
 from .forcing import _derived
 from .graph_core import Graph
 
-EXACT_CAP_DEFAULT = 24
+EXACT_CAP_DEFAULT = 20
 
 
 class ExactCapExceeded(ValueError):
@@ -71,24 +71,12 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
     raise AssertionError("the full vertex set always forces")
 
 
-def failed_zero_forcing_number(
-    g: Graph, cap: int = EXACT_CAP_DEFAULT, prune: bool = False
-) -> ExactResult:
-    """Maximum size of a non-forcing set, with the first witness found.
-
-    With prune enabled, a minimum forcing set is computed first and every
-    superset of it is skipped unevaluated; supersets of forcing sets force,
-    so the scan visits the same first failed set either way.
-    """
+def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
+    """Maximum size of a non-forcing set, with the first witness found."""
     _check_cap(g, cap)
     adj, full = g.adj, g.full
-    known_forcing = []
-    if prune:
-        known_forcing.append(zero_forcing_number(g, cap).witness)
     for k in range(g.n - 1, -1, -1):
         for s in size_k_subsets(g.n, k):
-            if any(s & w == w for w in known_forcing):
-                continue
             if _derived(adj, full, s) != full:
                 return ExactResult(k, s, "failed")
     raise AssertionError("the empty set never forces a nonempty graph")

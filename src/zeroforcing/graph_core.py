@@ -1,10 +1,11 @@
 """Small simple graphs stored as tuples of neighbor bitmasks.
 
-Vertices are 0..n-1 with n <= 64.  A vertex set is a plain int whose bit v
-is set when vertex v belongs to the set; the adjacency of a graph is one
-such mask per vertex.  Everything here treats graphs as immutable values,
-and every choice a function makes (component order, cycle search order,
-tie-breaks) is deterministic: lowest vertex index first.
+Vertices are 0..n-1 with n <= 62, the most a graph6 record holds.  A
+vertex set is a plain int whose bit v is set when vertex v belongs to the
+set; the adjacency of a graph is one such mask per vertex.  Everything
+here treats graphs as immutable values, and every choice a function makes
+(component order, cycle search order, tie-breaks) is deterministic: lowest
+vertex index first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-MAX_VERTICES = 64
+MAX_VERTICES = 62
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -121,29 +122,13 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def connected_components(g: Graph) -> list[int]:
     """Component bitmasks, ordered by size then by smallest member index."""
-    comps = []
-    seen = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grown = 0
-            for u in iter_bits(frontier):
-                grown |= g.adj[u]
-            frontier = grown & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
-    comps.sort(key=lambda c: (c.bit_count(), c & -c))
-    return comps
+    return components_within(g, g.full)
 
 
 def components_within(g: Graph, keep: int) -> list[int]:
     """Components of the subgraph induced on a mask, without reindexing.
 
-    Same ordering convention as connected_components.
+    Ordered by size, then by smallest member index.
     """
     comps = []
     seen = 0
@@ -341,29 +326,6 @@ def _parent_path_cycle(parent: list[int], depth: list[int], u: int, v: int) -> t
         b = parent[b]
         up_v.append(b)
     return tuple(up_u[:-1] + [a] + up_v[:-1][::-1])
-
-
-def bipartition(g: Graph) -> tuple[int, int] | None:
-    """2-coloring as (left, right) bitmasks, or None when an odd cycle exists.
-
-    Per component, the side holding the component's lowest vertex goes left.
-    """
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in iter_bits(g.adj[v]):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    left = mask_of(v for v in range(g.n) if color[v] == 0)
-    return left, g.full ^ left
 
 
 def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, dict[int, int]]:

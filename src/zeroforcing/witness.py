@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .exact import EXACT_CAP_DEFAULT, failed_zero_forcing_number
 from .forcing import derived_set, is_stalled, spent_vertices
 from .graph_core import (
     Graph,
@@ -86,15 +85,13 @@ class WitnessReport:
     """A failed zero forcing set with its construction provenance.
 
     filled is the constructed vertex mask; guaranteed_bound is the size the
-    route promises (the actual set may be larger); stalled records that the
-    set's closure is a proper stalled subset, i.e. the set fails to force.
+    route promises (the actual set may be larger).
     """
 
     n: int
     filled: int
     route: str
     guaranteed_bound: int
-    stalled: bool
 
 
 @dataclass(frozen=True)
@@ -131,33 +128,6 @@ def verify_witness(g: Graph, report: WitnessReport) -> WitnessVerdict:
     )
 
 
-def witness_bipartite(g: Graph, sides: tuple[int, int]) -> WitnessReport:
-    """Fill the larger side of a 2-sided split with cross degree >= 2.
-
-    sides must partition the vertices so that every vertex has at least two
-    neighbors on the other side (the split need not respect same-side
-    edges).  Filling a whole side then stalls immediately: every filled
-    vertex keeps two unfilled cross neighbors.
-    """
-    left, right = sides
-    if left & right or (left | right) != g.full:
-        raise ValueError("sides do not partition the vertex set")
-    for v in range(g.n):
-        other = right if left >> v & 1 else left
-        if (g.adj[v] & other).bit_count() < 2:
-            raise ValueError(f"vertex {v} has fewer than two cross neighbors")
-    fill = left if left.bit_count() >= right.bit_count() else right
-    report = WitnessReport(
-        n=g.n,
-        filled=fill,
-        route="bipartite",
-        guaranteed_bound=max(left.bit_count(), right.bit_count()),
-        stalled=True,
-    )
-    _require(is_stalled(g, fill), "bipartite fill failed to stall")
-    return report
-
-
 def witness_cut_vertex(g: Graph, v: int | None = None) -> WitnessReport:
     """Fill everything except the smallest piece hanging off a cut vertex.
 
@@ -185,7 +155,6 @@ def witness_cut_vertex(g: Graph, v: int | None = None) -> WitnessReport:
         filled=fill,
         route="cut-vertex",
         guaranteed_bound=(g.n + 1) // 2,
-        stalled=True,
     )
     _require(derived_set(g, fill) != g.full, "cut-vertex fill forced the whole graph")
     return report
@@ -432,14 +401,13 @@ def witness_delta3(g: Graph) -> WitnessReport:
         filled=fill,
         route="algo1-even" if even_seeded else "algo1-odd",
         guaranteed_bound=(g.n + 1) // 2 if even_seeded else g.n // 2,
-        stalled=True,
     )
     _require(is_stalled(g, fill), "partition side failed to stall")
     _require(spent_vertices(g, fill) == 0, "partition side contains a spent vertex")
     return report
 
 
-def witness_general(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> WitnessReport:
+def witness_general(g: Graph) -> WitnessReport:
     """Stalled set of size >= floor((n-1)/2) for any graph.
 
     Dispatches on structure: keep the smallest component unfilled when
@@ -448,9 +416,10 @@ def witness_general(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> WitnessReport:
     degree-2 vertex, contract the path through it and recurse, lifting the
     smaller witness back by one of four cases.  The returned set is always
     literally stalled (a cut-vertex step's single force is absorbed by
-    taking the closure).
+    taking the closure).  Every recursion level checks that its set stalls
+    and meets both bounds, so a broken lift raises ConstructionError.
     """
-    report = _general(g, cap)
+    report = _general(g)
     closed = derived_set(g, report.filled)
     if closed != report.filled:
         report = replace(report, filled=closed)
@@ -466,7 +435,7 @@ def witness_general(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> WitnessReport:
     return report
 
 
-def _general(g: Graph, cap: int) -> WitnessReport:
+def _general(g: Graph) -> WitnessReport:
     comps = connected_components(g)
     if len(comps) > 1:
         return WitnessReport(
@@ -474,32 +443,18 @@ def _general(g: Graph, cap: int) -> WitnessReport:
             filled=g.full ^ comps[0],
             route="disconnected",
             guaranteed_bound=(g.n + 1) // 2,
-            stalled=True,
         )
     if g.n <= 2:
-        return WitnessReport(n=g.n, filled=0, route="base", guaranteed_bound=0, stalled=True)
+        return WitnessReport(n=g.n, filled=0, route="base", guaranteed_bound=0)
     dmin = g.min_degree()
     if dmin >= 3:
         return witness_delta3(g)
     if dmin == 1:
-        report = _lift_leaf(g, cap)
-    else:
-        report = _lift_contraction(g, cap)
-    if derived_set(g, report.filled) == g.full:
-        # Defensive only: the lifts above preserve stalledness for every
-        # case; exhaustive testing never reaches this branch.
-        result = failed_zero_forcing_number(g, cap)
-        return WitnessReport(
-            n=g.n,
-            filled=result.witness,
-            route="exact-fallback",
-            guaranteed_bound=(g.n - 1) // 2,
-            stalled=True,
-        )
-    return report
+        return _lift_leaf(g)
+    return _lift_contraction(g)
 
 
-def _lift_leaf(g: Graph, cap: int) -> WitnessReport:
+def _lift_leaf(g: Graph) -> WitnessReport:
     """Min degree 1: drop a leaf v and its neighbor w, recurse, lift.
 
     If w still touches an unfilled surviving vertex, adding w alone keeps
@@ -509,7 +464,7 @@ def _lift_leaf(g: Graph, cap: int) -> WitnessReport:
     w = g.adj[v].bit_length() - 1
     keep = g.full & ~(1 << v) & ~(1 << w)
     sub, vmap = induced_subgraph(g, keep)
-    child = witness_general(sub, cap)
+    child = witness_general(sub)
     inv = {new: old for old, new in vmap.items()}
     lifted = mask_of(inv[u] for u in iter_bits(child.filled))
     if g.adj[w] & keep & ~lifted:
@@ -521,11 +476,10 @@ def _lift_leaf(g: Graph, cap: int) -> WitnessReport:
         filled=fill,
         route=f"{tag}({child.route})",
         guaranteed_bound=(g.n - 1) // 2,
-        stalled=True,
     )
 
 
-def _lift_contraction(g: Graph, cap: int) -> WitnessReport:
+def _lift_contraction(g: Graph) -> WitnessReport:
     """Min degree 2: contract the path x - v - y, recurse, lift by cases.
 
     With the replacement vertex w outside the child set, refill v alone.
@@ -536,7 +490,7 @@ def _lift_contraction(g: Graph, cap: int) -> WitnessReport:
     v = next(u for u in range(g.n) if g.degree(u) == 2)
     x, y = vertices_of(g.adj[v])
     sub, vmap, w = condense_path(g, v, x, y)
-    child = witness_general(sub, cap)
+    child = witness_general(sub)
     inv = {new: old for old, new in vmap.items()}
     lifted = mask_of(inv[u] for u in iter_bits(child.filled & ~(1 << w)))
     bv, bx, by = 1 << v, 1 << x, 1 << y
@@ -557,5 +511,4 @@ def _lift_contraction(g: Graph, cap: int) -> WitnessReport:
         filled=fill,
         route=f"{tag}({child.route})",
         guaranteed_bound=(g.n - 1) // 2,
-        stalled=True,
     )

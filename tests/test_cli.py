@@ -37,7 +37,7 @@ def test_analyze_structured(capsys):
     assert docs[0]["failed_zero_forcing"]["value"] == 0
     assert docs[1]["failed_zero_forcing"]["value"] == 1
     for doc in docs:
-        assert doc["schema"] == "zeroforcing-analysis/1"
+        assert doc["schema"] == "zeroforcing-analysis/2"
         assert doc["witness"]["verified"] is True
 
 
@@ -84,14 +84,13 @@ def test_witness_command(capsys):
 def test_witness_structured(capsys):
     assert run(["witness", "--format", "structured", "Bg"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "zeroforcing-witness/1"
+    assert doc["schema"] == "zeroforcing-witness/2"
     assert doc["set"] == [1]
     assert doc["verified"] is True
 
 
 def test_witness_verification_failure_exits_2(monkeypatch, capsys):
-    bogus = WitnessReport(n=3, filled=0b011, route="made-up",
-                          guaranteed_bound=1, stalled=False)
+    bogus = WitnessReport(n=3, filled=0b011, route="made-up", guaranteed_bound=1)
     monkeypatch.setattr(cli, "witness_general", lambda g: bogus)
     assert run(["witness", "Bg"]) == 2
     out = capsys.readouterr().out

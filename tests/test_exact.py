@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -77,18 +76,6 @@ def test_matches_naive_for_all_small_classes():
             adj = adj_sets(g)
             assert zero_forcing_number(g).value == naive_zero_number(adj)[0]
             assert failed_zero_forcing_number(g).value == naive_failed_number(adj)[0]
-
-
-def test_prune_changes_nothing():
-    rng = random.Random(97)
-    from conftest import random_graph
-
-    for _ in range(150):
-        n = rng.randint(1, 8)
-        g = random_graph(rng, n, rng.uniform(0.1, 0.7))
-        plain = failed_zero_forcing_number(g, prune=False)
-        pruned = failed_zero_forcing_number(g, prune=True)
-        assert (plain.value, plain.witness) == (pruned.value, pruned.witness)
 
 
 def test_cap_enforced():

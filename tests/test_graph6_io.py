@@ -51,8 +51,8 @@ def test_parse_rejects_malformed(bad):
 
 def test_round_trip_random():
     rng = random.Random(5)
-    for _ in range(500):
-        n = rng.randint(1, 20)
+    sizes = [rng.randint(1, 20) for _ in range(500)] + [62]
+    for n in sizes:
         g = random_graph(rng, n, rng.uniform(0.0, 1.0))
         assert parse_graph6(write_graph6(g)) == g
 

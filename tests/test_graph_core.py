@@ -1,10 +1,10 @@
 import random
 
+import networkx as nx
 import pytest
 
 from zeroforcing import (
     Graph,
-    bipartition,
     complete_bipartite,
     complete_graph,
     condense_path,
@@ -53,6 +53,8 @@ def test_from_edges_rejects_bad_input():
         from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         from_edges(0, [])
+    with pytest.raises(ValueError):
+        from_edges(63, [])
     with pytest.raises(ValueError):
         from_edges(65, [])
 
@@ -171,18 +173,7 @@ def test_odd_cycle_finder_matches_bipartiteness():
         found = find_odd_cycle(g)
         if found is not None:
             _check_cycle(g, found, want_even=False)
-        assert (found is None) == (bipartition(g) is not None)
-
-
-def test_bipartition_sides():
-    sides = bipartition(complete_bipartite(2, 3))
-    assert sides is not None
-    left, right = sides
-    assert left == mask_of([0, 1]) and right == mask_of([2, 3, 4])
-    assert bipartition(cycle_graph(5)) is None
-    # lowest vertex of each component lands on the left
-    two_edges = from_edges(4, [(0, 1), (2, 3)])
-    assert bipartition(two_edges) == (mask_of([0, 2]), mask_of([1, 3]))
+        assert (found is None) == nx.is_bipartite(nx.Graph(g.edges()))
 
 
 def test_induced_subgraph():

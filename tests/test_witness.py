@@ -5,6 +5,7 @@ import pytest
 from zeroforcing import (
     ConstructionError,
     Partition,
+    WitnessReport,
     algo1_partition,
     complete_bipartite,
     complete_graph,
@@ -22,11 +23,12 @@ from zeroforcing import (
     spent_vertices,
     verify_witness,
     vertices_of,
-    witness_bipartite,
     witness_cut_vertex,
     witness_delta3,
     witness_general,
+    write_graph6,
 )
+from zeroforcing import cli, witness
 
 
 def two_cliques_sharing_vertex():
@@ -36,53 +38,19 @@ def two_cliques_sharing_vertex():
 
 
 def test_verify_witness_flags_forcing_sets():
-    from zeroforcing import WitnessReport
-
     g = path_graph(3)
-    bad = WitnessReport(n=3, filled=mask_of([0]), route="made-up",
-                        guaranteed_bound=1, stalled=False)
+    bad = WitnessReport(n=3, filled=mask_of([0]), route="made-up", guaranteed_bound=1)
     verdict = verify_witness(g, bad)
     assert not verdict.ok and not verdict.forcing_failed
-    good = WitnessReport(n=3, filled=mask_of([1]), route="made-up",
-                         guaranteed_bound=1, stalled=True)
+    good = WitnessReport(n=3, filled=mask_of([1]), route="made-up", guaranteed_bound=1)
     assert verify_witness(g, good).ok
 
 
 def test_verify_witness_flags_small_sets():
-    from zeroforcing import WitnessReport
-
     g = path_graph(5)
-    small = WitnessReport(n=5, filled=mask_of([1]), route="made-up",
-                          guaranteed_bound=2, stalled=True)
+    small = WitnessReport(n=5, filled=mask_of([1]), route="made-up", guaranteed_bound=2)
     verdict = verify_witness(g, small)
     assert not verdict.ok and verdict.forcing_failed and not verdict.meets_bound
-
-
-def test_bipartite_construction():
-    g = complete_bipartite(2, 3)
-    rep = witness_bipartite(g, (mask_of([0, 1]), mask_of([2, 3, 4])))
-    assert rep.filled == mask_of([2, 3, 4])
-    assert rep.guaranteed_bound == 3
-    assert rep.route == "bipartite"
-    assert verify_witness(g, rep).ok
-    assert spent_vertices(g, rep.filled) == 0
-
-
-def test_bipartite_construction_allows_same_side_edges():
-    # sides only need two cross neighbors each; inside edges are fine
-    g = complete_graph(4)
-    rep = witness_bipartite(g, (mask_of([0, 1]), mask_of([2, 3])))
-    assert rep.filled == mask_of([0, 1])
-    assert verify_witness(g, rep).ok
-
-
-def test_bipartite_construction_rejects_thin_sides():
-    star = complete_bipartite(1, 4)
-    with pytest.raises(ValueError):
-        witness_bipartite(star, (mask_of([0]), mask_of([1, 2, 3, 4])))
-    g = complete_graph(4)
-    with pytest.raises(ValueError):
-        witness_bipartite(g, (mask_of([0, 1]), mask_of([2])))
 
 
 def test_cut_vertex_construction():
@@ -211,9 +179,40 @@ def test_general_returns_literally_stalled_sets():
         n = rng.randint(1, 9)
         g = random_graph(rng, n, rng.uniform(0.1, 0.8))
         rep = witness_general(g)
-        assert rep.stalled
         if n > 2:
             assert is_stalled(g, rep.filled)
+        assert rep.filled.bit_count() >= (n - 1) // 2
+
+
+def test_broken_lift_fails_loudly(monkeypatch, capsys):
+    # a lift whose set forces the graph must raise, never be replaced
+    # by some other set
+    def forcing_lift(g):
+        leaf = next(u for u in range(g.n) if g.degree(u) == 1)
+        return WitnessReport(n=g.n, filled=1 << leaf, route="broken",
+                             guaranteed_bound=(g.n - 1) // 2)
+
+    monkeypatch.setattr(witness, "_lift_leaf", forcing_lift)
+    g = path_graph(5)
+    assert derived_set(g, 1 << 0) == g.full
+    with pytest.raises(ConstructionError):
+        witness_general(g)
+    assert cli.main(["witness", write_graph6(g)]) == 2
+    assert "construction failed" in capsys.readouterr().err
+
+
+def test_general_verified_on_random_connected_graphs():
+    # lifts far beyond the exhaustive range: spanning tree plus chords,
+    # relabelled, from sparse (deep lift chains) to dense
+    rng = random.Random(2202)
+    for _ in range(1000):
+        n = rng.randint(3, 62)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        perm = rng.sample(range(n), n)
+        g = from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        rep = witness_general(g)
+        assert verify_witness(g, rep).ok, write_graph6(g)
         assert rep.filled.bit_count() >= (n - 1) // 2
 
 
