@@ -438,8 +438,12 @@ def run_census(
     Classes come from built-in generation (n <= 9) unless sources maps an n
     to a newline-delimited graph6 file, which is then trusted to be
     isomorph-free.  Evaluation parallelizes over graphs with jobs > 1; the
-    output is identical for any job count.
+    output is identical for any job count.  Raises ValueError when max_n,
+    k_max or jobs is below 1.
     """
+    for name, value in (("max_n", max_n), ("k_max", k_max), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     sources = dict(sources or {})
     for n in range(1, max_n + 1):
         if n > BUILTIN_MAX and n not in sources:

@@ -9,50 +9,11 @@ its own closure is stalled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph_core import Graph
 
 
-@dataclass(frozen=True)
-class ForcingTrace:
-    """One run of the color change rule to its fixpoint.
-
-    forces lists (forcer, forced) pairs in a valid chronology: repeated
-    sweeps over filled vertices in ascending index order, applying each
-    force the moment it is seen.
-    """
-
-    initial: int
-    forces: tuple[tuple[int, int], ...]
-    closure: int
-
-
-def closure(g: Graph, filled: int) -> ForcingTrace:
-    """Run the color change rule from a vertex mask, recording every force."""
-    if filled & ~g.full:
-        raise ValueError("initial set contains vertices outside the graph")
-    adj = g.adj
-    forces = []
-    state = filled
-    while True:
-        progressed = False
-        scan = state
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            v = bit.bit_length() - 1
-            unfilled = adj[v] & ~state
-            if unfilled and not unfilled & (unfilled - 1):
-                forces.append((v, unfilled.bit_length() - 1))
-                state |= unfilled
-                progressed = True
-        if not progressed:
-            return ForcingTrace(filled, tuple(forces), state)
-
-
 def derived_set(g: Graph, filled: int) -> int:
-    """Closure of a vertex mask, without the trace."""
+    """Closure of a vertex mask under the color change rule."""
     if filled & ~g.full:
         raise ValueError("initial set contains vertices outside the graph")
     return _derived(g.adj, g.full, filled)

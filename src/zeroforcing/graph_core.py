@@ -154,9 +154,11 @@ def is_connected(g: Graph) -> bool:
 
 
 def cut_vertices(g: Graph) -> int:
-    """Bitmask of articulation vertices.  Rejects disconnected input."""
-    if not is_connected(g):
-        raise ValueError("cut vertices are only defined here for connected graphs")
+    """Bitmask of articulation vertices.
+
+    Rejects disconnected input: the depth-first search from vertex 0 must
+    reach every vertex.
+    """
     disc = [-1] * g.n
     low = [0] * g.n
     state = {"time": 0, "cuts": 0}
@@ -178,6 +180,8 @@ def cut_vertices(g: Graph) -> int:
             state["cuts"] |= 1 << v
 
     walk(0, -1)
+    if -1 in disc:
+        raise ValueError("cut vertices are only defined here for connected graphs")
     return state["cuts"]
 
 

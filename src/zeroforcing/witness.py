@@ -25,7 +25,6 @@ from .graph_core import (
     find_even_cycle,
     find_odd_cycle,
     induced_subgraph,
-    is_connected,
     iter_bits,
     mask_of,
     vertices_of,
@@ -47,35 +46,28 @@ def _require(cond: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class Partition:
-    """Left/right split with at most one buffer vertex.
+    """Split of every vertex into a left and a right side.
 
-    Invariant: every left vertex has at least two neighbors in right or
-    the buffer, and symmetrically for right vertices.  Filling either side
+    Invariant: every left vertex has at least two right neighbors, and
+    every right vertex at least two left neighbors.  Filling either side
     therefore leaves every filled vertex with two unfilled neighbors.
     """
 
     n: int
     left: int
     right: int
-    buffer: int
 
     def check(self, g: Graph) -> None:
-        _require(
-            self.left & self.right == 0
-            and self.left & self.buffer == 0
-            and self.right & self.buffer == 0,
-            "partition sides overlap",
-        )
-        _require(self.left | self.right | self.buffer == g.full, "partition misses vertices")
-        _require(self.buffer.bit_count() <= 1, "more than one buffer vertex")
+        _require(self.left & self.right == 0, "partition sides overlap")
+        _require(self.left | self.right == g.full, "partition misses vertices")
         for v in iter_bits(self.left):
             _require(
-                (g.adj[v] & (self.right | self.buffer)).bit_count() >= 2,
+                (g.adj[v] & self.right).bit_count() >= 2,
                 f"left vertex {v} lacks two cross neighbors",
             )
         for v in iter_bits(self.right):
             _require(
-                (g.adj[v] & (self.left | self.buffer)).bit_count() >= 2,
+                (g.adj[v] & self.left).bit_count() >= 2,
                 f"right vertex {v} lacks two cross neighbors",
             )
 
@@ -128,57 +120,67 @@ def verify_witness(g: Graph, report: WitnessReport) -> WitnessVerdict:
     )
 
 
-def witness_cut_vertex(g: Graph, v: int | None = None) -> WitnessReport:
+def _delta3_cut_vertices(g: Graph) -> int:
+    """Cut vertices of a connected graph with minimum degree >= 3.
+
+    Raises ValueError when g has a vertex of degree below 3, and (from
+    cut_vertices) when g is disconnected.
+    """
+    if g.min_degree() < 3:
+        raise ValueError("construction needs minimum degree 3")
+    return cut_vertices(g)
+
+
+def witness_cut_vertex(g: Graph) -> WitnessReport:
     """Fill everything except the smallest piece hanging off a cut vertex.
 
-    Needs a connected graph with minimum degree >= 3 and a cut vertex.  The
-    filled set is all vertices outside the smallest component of g - v,
-    including v itself.  When v has a single neighbor w inside that
-    component the set forces w and nothing else; the closure is then the
-    stalled set the size guarantee refers to.
+    Needs a connected graph with minimum degree >= 3 and a cut vertex; the
+    lowest cut vertex v is used.  The filled set is all vertices outside
+    the smallest component of g - v, including v itself.  When v has a
+    single neighbor w inside that component the set forces w and nothing
+    else; the closure is then the stalled set the size guarantee refers to.
     """
-    if not is_connected(g):
-        raise ValueError("cut-vertex construction needs a connected graph")
-    if g.min_degree() < 3:
-        raise ValueError("cut-vertex construction needs minimum degree 3")
-    cuts = cut_vertices(g)
-    if v is None:
-        if not cuts:
-            raise ValueError("graph has no cut vertex")
-        v = (cuts & -cuts).bit_length() - 1
-    elif not cuts >> v & 1:
-        raise ValueError(f"vertex {v} is not a cut vertex")
+    cuts = _delta3_cut_vertices(g)
+    if not cuts:
+        raise ValueError("graph has no cut vertex")
+    return _cut_vertex_report(g, cuts)
+
+
+def _cut_vertex_report(g: Graph, cuts: int) -> WitnessReport:
+    v = (cuts & -cuts).bit_length() - 1
     smallest = components_within(g, g.full ^ (1 << v))[0]
     fill = g.full & ~smallest
-    report = WitnessReport(
+    _require(derived_set(g, fill) != g.full, "cut-vertex fill forced the whole graph")
+    return WitnessReport(
         n=g.n,
         filled=fill,
         route="cut-vertex",
         guaranteed_bound=(g.n + 1) // 2,
     )
-    _require(derived_set(g, fill) != g.full, "cut-vertex fill forced the whole graph")
-    return report
 
 
 def algo1_partition(g: Graph) -> Partition:
-    """Left/right/buffer partition for connected, 2-connected, min degree 3.
+    """Left/right partition for connected, 2-connected, min degree 3.
 
-    Seeds from an even cycle when one exists (empty buffer), otherwise from
-    an odd cycle with its lowest vertex as the buffer.  Remaining vertices
-    are absorbed by four cases, in priority order: two assigned neighbors
-    toward one side; an escape path when the two assigned neighbors sit on
-    opposite sides; and, when every unassigned vertex touches at most one
-    assigned vertex, a cycle (plus connecting paths) inside the unassigned
-    residue.  All scans take the lowest qualifying vertex.
+    Seeds from an even cycle, which every graph with minimum degree 3 has:
+    the neighbors of the first vertex v0 of a longest path v0 ... vk all lie
+    on the path, among them v1, vi and vj with 1 < i < j.  The cycles
+    v0 ... vi, v0 ... vj and v0 vi ... vj have lengths i+1, j+1 and j-i+2,
+    and one of these is even.  A missing seed therefore raises
+    ConstructionError.  Remaining vertices are absorbed by four cases, in
+    priority order: two assigned neighbors toward one side; an escape path
+    when the two assigned neighbors sit on opposite sides; and, when every
+    unassigned vertex touches at most one assigned vertex, a cycle (plus
+    connecting paths) inside the unassigned residue.  All scans take the
+    lowest qualifying vertex.
     """
-    if not is_connected(g):
-        raise ValueError("partition construction needs a connected graph")
-    if g.min_degree() < 3:
-        raise ValueError("partition construction needs minimum degree 3")
-    if cut_vertices(g):
+    if _delta3_cut_vertices(g):
         raise ValueError("partition construction needs a 2-connected graph")
+    return _build_partition(g)
 
-    left = right = buffer = 0
+
+def _build_partition(g: Graph) -> Partition:
+    left = right = 0
     unassigned = g.full
 
     def assign(v: int, to_left: bool) -> None:
@@ -197,44 +199,35 @@ def algo1_partition(g: Graph) -> Partition:
             side = not side
 
     seed = find_even_cycle(g)
-    if seed is not None:
-        assign_alternating(list(seed.vertices), True)
-    else:
-        odd_seed = find_odd_cycle(g)
-        _require(odd_seed is not None, "no cycle in a graph with min degree 3")
-        vs = list(odd_seed.vertices)
-        k = vs.index(min(vs))
-        vs = vs[k:] + vs[:k]
-        buffer = 1 << vs[0]
-        unassigned ^= buffer
-        assign_alternating(vs[1:], True)
+    _require(seed is not None, "no even cycle in a graph with min degree 3")
+    assign_alternating(list(seed.vertices), True)
 
     while unassigned:
-        if _absorb_two_sided(g, left, right, buffer, unassigned, assign):
+        if _absorb_two_sided(g, left, right, unassigned, assign):
             continue
-        if _absorb_split_pair(g, left, right, buffer, unassigned, assign):
+        if _absorb_split_pair(g, left, right, unassigned, assign_alternating):
             continue
-        _absorb_residue(g, left, right, buffer, unassigned, assign_alternating)
+        _absorb_residue(g, left, right, unassigned, assign_alternating)
 
-    part = Partition(g.n, left, right, buffer)
+    part = Partition(g.n, left, right)
     part.check(g)
     return part
 
 
-def _absorb_two_sided(g, left, right, buffer, unassigned, assign) -> bool:
+def _absorb_two_sided(g, left, right, unassigned, assign) -> bool:
     """Cases 1 and 2: a vertex with two neighbors toward one side."""
     for v in iter_bits(unassigned):
-        if (g.adj[v] & (left | buffer)).bit_count() >= 2:
+        if (g.adj[v] & left).bit_count() >= 2:
             assign(v, False)
             return True
     for v in iter_bits(unassigned):
-        if (g.adj[v] & (right | buffer)).bit_count() >= 2:
+        if (g.adj[v] & right).bit_count() >= 2:
             assign(v, True)
             return True
     return False
 
 
-def _absorb_split_pair(g, left, right, buffer, unassigned, assign) -> bool:
+def _absorb_split_pair(g, left, right, unassigned, assign_alternating) -> bool:
     """Case 3: exactly two assigned neighbors, one left and one right.
 
     Walks a shortest path from the vertex through unassigned territory to
@@ -242,7 +235,7 @@ def _absorb_split_pair(g, left, right, buffer, unassigned, assign) -> bool:
     least one unassigned interior vertex) and alternates sides from the
     anchor back.  Such a path exists in a 2-connected graph.
     """
-    assigned = left | right | buffer
+    assigned = left | right
     for v in iter_bits(unassigned):
         pair = g.adj[v] & assigned
         if pair.bit_count() != 2 or not (pair & left and pair & right):
@@ -265,17 +258,12 @@ def _absorb_split_pair(g, left, right, buffer, unassigned, assign) -> bool:
         chain = [tail]
         while chain[-1] != v:
             chain.append(parent[chain[-1]])
-        start_left = bool(right >> anchor & 1) if not buffer >> anchor & 1 else True
-        assign_alternating_local = chain  # anchor's neighbor first, v last
-        side = start_left
-        for u in assign_alternating_local:
-            assign(u, side)
-            side = not side
+        assign_alternating(chain, bool(right >> anchor & 1))  # anchor's neighbor first
         return True
     return False
 
 
-def _absorb_residue(g, left, right, buffer, unassigned, assign_alternating) -> None:
+def _absorb_residue(g, left, right, unassigned, assign_alternating) -> None:
     """Case 4: every unassigned vertex touches at most one assigned vertex.
 
     The unassigned residue then keeps minimum degree 2 and contains a
@@ -284,7 +272,7 @@ def _absorb_residue(g, left, right, buffer, unassigned, assign_alternating) -> N
     alternate along the arc whose parity makes both endpoints land opposite
     their assigned neighbors.
     """
-    assigned = left | right | buffer
+    assigned = left | right
     sub, smap = induced_subgraph(g, unassigned)
     inv = {new: old for old, new in smap.items()}
     _require(sub.min_degree() >= 2, "residue lost minimum degree 2")
@@ -330,30 +318,11 @@ def _absorb_residue(g, left, right, buffer, unassigned, assign_alternating) -> N
     def full_path(arc: list[int]) -> list[int]:
         return p_path[::-1] + arc[1:] + q_path[1:]
 
-    def side_of(u: int) -> bool | None:
-        if left >> u & 1:
-            return True
-        if right >> u & 1:
-            return False
-        return None
-
-    v_side, w_side = side_of(v_anchor), side_of(w_anchor)
-    if v_side is not None and w_side is not None:
-        need_odd = v_side != w_side
-        choice = full_path(arc_fwd)
-        if (len(choice) - 1) % 2 != (1 if need_odd else 0):
-            choice = full_path(arc_bwd)
-        start_left = not v_side
-    elif w_side is not None:
-        choice = full_path(arc_fwd)
-        start_left = not w_side if (len(choice) - 1) % 2 == 0 else w_side
-    elif v_side is not None:
-        choice = full_path(arc_fwd)
-        start_left = not v_side
-    else:
-        choice = full_path(arc_fwd)
-        start_left = True
-    assign_alternating(choice, start_left)
+    v_side, w_side = bool(left >> v_anchor & 1), bool(left >> w_anchor & 1)
+    choice = full_path(arc_fwd)
+    if (len(choice) - 1) % 2 != (v_side != w_side):
+        choice = full_path(arc_bwd)
+    assign_alternating(choice, not v_side)
 
 
 def _attachment_path(g, sources: int, allowed: int, assigned: int) -> list[int] | None:
@@ -382,25 +351,20 @@ def _attachment_path(g, sources: int, allowed: int, assigned: int) -> list[int] 
 def witness_delta3(g: Graph) -> WitnessReport:
     """Guaranteed construction for connected graphs with min degree >= 3.
 
-    With a cut vertex, fill everything outside its smallest branch
-    (guarantee floor((n+1)/2)).  Otherwise fill the larger side of the
-    left/right partition: guarantee ceil(n/2) when the partition was seeded
-    from an even cycle, floor(n/2) otherwise.
+    With a cut vertex, fill everything outside its smallest branch.
+    Otherwise fill the larger side of the left/right partition (route
+    "algo1-even").  Both routes guarantee ceil(n/2) = floor((n+1)/2).
     """
-    if not is_connected(g):
-        raise ValueError("construction needs a connected graph")
-    if g.min_degree() < 3:
-        raise ValueError("construction needs minimum degree 3")
-    if cut_vertices(g):
-        return witness_cut_vertex(g)
-    part = algo1_partition(g)
+    cuts = _delta3_cut_vertices(g)
+    if cuts:
+        return _cut_vertex_report(g, cuts)
+    part = _build_partition(g)
     fill = part.left if part.left.bit_count() >= part.right.bit_count() else part.right
-    even_seeded = part.buffer == 0
     report = WitnessReport(
         n=g.n,
         filled=fill,
-        route="algo1-even" if even_seeded else "algo1-odd",
-        guaranteed_bound=(g.n + 1) // 2 if even_seeded else g.n // 2,
+        route="algo1-even",
+        guaranteed_bound=(g.n + 1) // 2,
     )
     _require(is_stalled(g, fill), "partition side failed to stall")
     _require(spent_vertices(g, fill) == 0, "partition side contains a spent vertex")
@@ -423,7 +387,7 @@ def witness_general(g: Graph) -> WitnessReport:
     closed = derived_set(g, report.filled)
     if closed != report.filled:
         report = replace(report, filled=closed)
-    _require(is_stalled(g, report.filled), f"route {report.route} did not stall")
+    _require(closed != g.full, f"route {report.route} did not stall")
     _require(
         report.filled.bit_count() >= report.guaranteed_bound,
         f"route {report.route} missed its guarantee",

@@ -127,6 +127,11 @@ def test_census_input_override(tmp_path, capsys):
 def test_census_bad_input_flag(capsys):
     assert run(["census", "--max-n", "3", "--input", "three=/tmp/x"]) == 1
     assert "N=PATH" in capsys.readouterr().err
+    for flags in (["--max-n", "0"], ["--max-n", "-2"],
+                  ["--max-n", "3", "--jobs", "0"], ["--max-n", "3", "--k-max", "0"]):
+        assert run(["census", *flags]) == 1
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err and captured.out == ""
 
 
 def test_census_missing_source(capsys):

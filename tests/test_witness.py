@@ -72,7 +72,7 @@ def test_cut_vertex_construction_may_force_once():
     g = from_edges(8, edges)
     for u in (3, 4):
         assert g.degree(u) == 4
-    rep = witness_cut_vertex(g, 3)
+    rep = witness_cut_vertex(g)
     closed = derived_set(g, rep.filled)
     assert closed != g.full
     assert closed == rep.filled | mask_of([3])
@@ -84,22 +84,18 @@ def test_cut_vertex_rejects_bad_inputs():
         witness_cut_vertex(complete_graph(5))
     with pytest.raises(ValueError):
         witness_cut_vertex(path_graph(5))
-    g = two_cliques_sharing_vertex()
-    with pytest.raises(ValueError):
-        witness_cut_vertex(g, 0)
 
 
 def test_partition_check_rejects_overlap():
     g = complete_graph(4)
     with pytest.raises(ConstructionError):
-        Partition(4, mask_of([0, 1]), mask_of([1, 2, 3]), 0).check(g)
+        Partition(4, mask_of([0, 1]), mask_of([1, 2, 3])).check(g)
 
 
 def test_algo1_on_k4():
     g = complete_graph(4)
     part = algo1_partition(g)
     part.check(g)
-    assert part.buffer == 0
     assert part.left | part.right == g.full
 
 
@@ -107,7 +103,6 @@ def test_algo1_on_petersen():
     g = petersen_graph()
     part = algo1_partition(g)
     part.check(g)
-    assert part.buffer == 0
     sizes = sorted([part.left.bit_count(), part.right.bit_count()])
     assert sum(sizes) == 10
     # both sides stall when filled
@@ -201,6 +196,16 @@ def test_broken_lift_fails_loudly(monkeypatch, capsys):
     assert "construction failed" in capsys.readouterr().err
 
 
+def test_missing_even_cycle_fails_loudly(monkeypatch, capsys):
+    # min degree 3 guarantees an even cycle, so a finder that returns
+    # None must raise, never fall back to another seed
+    monkeypatch.setattr(witness, "find_even_cycle", lambda g: None)
+    with pytest.raises(ConstructionError):
+        algo1_partition(complete_graph(4))
+    assert cli.main(["witness", "C~"]) == 2
+    assert "construction failed" in capsys.readouterr().err
+
+
 def test_general_verified_on_random_connected_graphs():
     # lifts far beyond the exhaustive range: spanning tree plus chords,
     # relabelled, from sparse (deep lift chains) to dense
@@ -227,9 +232,7 @@ def test_general_exhaustive_small():
             assert rep.filled.bit_count() <= exact
             assert rep.guaranteed_bound >= (n - 1) // 2 or n <= 2
             if g.min_degree() >= 3:
-                assert rep.guaranteed_bound >= n // 2
-                if rep.route == "algo1-even":
-                    assert rep.guaranteed_bound >= (n + 1) // 2
+                assert rep.guaranteed_bound >= (n + 1) // 2
 
 
 def test_partition_fill_survives_edge_additions():
