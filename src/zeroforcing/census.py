@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .exact import EXACT_CAP_DEFAULT, failed_zero_forcing_number, zero_forcing_number
+from .exact import failed_zero_forcing_number, zero_forcing_number
 from .graph6_io import Graph6Error, parse_graph6, read_stream, write_graph6
 from .graph_core import Graph, is_connected
 
@@ -31,13 +31,6 @@ BUILTIN_MAX = 9
 
 # ---------------------------------------------------------------------------
 # Canonical forms.
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical labeling result; equal bytes iff isomorphic graphs."""
-
-    data: bytes
 
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
@@ -157,13 +150,14 @@ def _adj_of_bits(n: int, bits: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form usable as an isomorphism-class key."""
+def canonical_form(g: Graph) -> bytes:
+    """Canonical form usable as an isomorphism-class key: equal bytes iff
+    isomorphic graphs."""
     if g.n > CANON_MAX:
         raise ValueError(f"canonical labeling capped at {CANON_MAX} vertices")
     bits = _canon_bits(g.n, g.adj)
     width = (g.n * (g.n - 1) // 2 + 7) // 8
-    return CanonicalForm(bytes([g.n]) + bits.to_bytes(width, "big"))
+    return bytes([g.n]) + bits.to_bytes(width, "big")
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -297,7 +291,6 @@ class CensusTable:
     sources: dict[int, str] = field(default_factory=dict)
     violations: list[Finding] = field(default_factory=list)
     exemplars: dict[tuple[int, int], list[str]] = field(default_factory=dict)
-    read_errors: list[str] = field(default_factory=list)
 
     def f_total(self, k: int) -> int:
         return sum(c for (kk, _), c in self.f_counts.items() if kk == k)
@@ -365,64 +358,48 @@ class CensusTable:
                 }
                 for k in sorted({k for k, _ in self.exemplars})
             },
-            "read_errors": list(self.read_errors),
+            # Always empty, since bad input stops the run; zeroforcing-census/1 keeps the key.
+            "read_errors": [],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), indent=2, sort_keys=True) + "\n"
 
 
-def check_bounds_and_conjecture(
-    table: CensusTable, records: Iterable[GraphRecord] = ()
-) -> list[Finding]:
-    """Table-level consistency plus per-record bound and conjecture checks.
-
-    A failed number of k on a connected graph pins n into k+2 .. 2k+2, and
-    every equal-numbers cell is bounded by its failed cell.
-    """
-    findings = []
-    for (k, n), c in sorted(table.e_counts.items()):
-        if c > table.f_counts.get((k, n), 0):
-            findings.append(
-                Finding("table", "", n, f"equal-numbers cell ({k}, {n}) exceeds its failed cell")
-            )
-    for (k, n), c in sorted(table.f_counts.items()):
-        if c and not k + 2 <= n <= 2 * k + 2:
-            findings.append(
-                Finding("table", "", n, f"failed cell ({k}, {n}) outside k+2 <= n <= 2k+2")
-            )
-    for record in records:
-        findings.extend(check_record(record))
-    return findings
-
-
 # ---------------------------------------------------------------------------
 # Running a census.
 
 
-def _evaluate(graph6: str, cap: int = EXACT_CAP_DEFAULT) -> GraphRecord:
+def _evaluate(graph6: str) -> GraphRecord:
     g = parse_graph6(graph6)
-    zero = zero_forcing_number(g, cap).value
-    failed = failed_zero_forcing_number(g, cap).value
+    zero = zero_forcing_number(g).value
+    failed = failed_zero_forcing_number(g).value
     return GraphRecord(graph6, g.n, zero, failed)
 
 
-def _connected_graph6_stream(
-    n: int, source: str | None, fail_fast: bool, read_errors: list[str]
-) -> Iterator[str]:
+def _connected_graph6_stream(n: int, source: str | None) -> Iterator[str]:
     if source is None:
         for g in generate_graphs(n):
             if is_connected(g):
                 yield write_graph6(g)
         return
-    errors: list[Graph6Error] = []
-    with open(source) as handle:
-        for g in read_stream(handle, fail_fast=fail_fast, errors=errors):
-            if g.n != n:
-                raise Graph6Error(f"{source}: expected {n} vertices, found {g.n}")
-            if is_connected(g):
+    first_line: dict[bytes, int] = {}
+    try:
+        # latin-1 maps every byte to one character, so parse_graph6 reports
+        # a non-ASCII byte with its line instead of the decoder failing.
+        with open(source, encoding="latin-1") as handle:
+            for lineno, g in read_stream(handle):
+                if g.n != n:
+                    raise Graph6Error(f"expected {n} vertices, found {g.n}", lineno)
+                if not is_connected(g):
+                    continue
+                first = first_line.setdefault(canonical_form(g), lineno)
+                if first != lineno:
+                    raise Graph6Error(f"same class as line {first}", lineno)
                 yield write_graph6(g)
-    read_errors.extend(f"{source}: {e}" for e in errors)
+    except ValueError as exc:
+        exc.args = (f"{source}: {exc}",)  # name the file; a Graph6Error keeps .line
+        raise
 
 
 def run_census(
@@ -430,21 +407,24 @@ def run_census(
     k_max: int = 4,
     sources: dict[int, str] | None = None,
     jobs: int = 1,
-    cap: int = EXACT_CAP_DEFAULT,
-    fail_fast: bool = True,
 ) -> CensusTable:
     """Exact census of connected classes for every n up to max_n.
 
     Classes come from built-in generation (n <= 9) unless sources maps an n
-    to a newline-delimited graph6 file, which is then trusted to be
-    isomorph-free.  Evaluation parallelizes over graphs with jobs > 1; the
-    output is identical for any job count.  Raises ValueError when max_n,
-    k_max or jobs is below 1.
+    to a newline-delimited graph6 file of n-vertex graphs.  A malformed,
+    wrong-size or duplicate connected record raises Graph6Error naming the
+    file and line; a file with n > CANON_MAX raises ValueError.
+    Evaluation parallelizes over graphs with jobs > 1; the output is
+    identical for any job count.  Raises ValueError when max_n, k_max or
+    jobs is below 1, or when sources maps an n outside 1..max_n.
     """
     for name, value in (("max_n", max_n), ("k_max", k_max), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     sources = dict(sources or {})
+    for n, source in sources.items():
+        if not 1 <= n <= max_n:
+            raise ValueError(f"{source}: input for n={n} is outside 1..max_n={max_n}")
     for n in range(1, max_n + 1):
         if n > BUILTIN_MAX and n not in sources:
             raise ValueError(f"no built-in generation for n={n}; provide a graph6 source")
@@ -456,11 +436,11 @@ def run_census(
         for n in range(1, max_n + 1):
             source = sources.get(n)
             table.sources[n] = source if source is not None else "builtin"
-            stream = _connected_graph6_stream(n, source, fail_fast, table.read_errors)
+            stream = _connected_graph6_stream(n, source)
             if pool is None:
-                records = (_evaluate(s, cap) for s in stream)
+                records = map(_evaluate, stream)
             else:
-                records = pool.imap(partial(_evaluate, cap=cap), stream, chunksize=64)
+                records = pool.imap(_evaluate, stream, chunksize=64)
             for record in records:
                 table.add(record)
     finally:
@@ -469,4 +449,3 @@ def run_census(
             pool.join()
     table.finalize()
     return table
-

@@ -10,6 +10,7 @@ parse errors, 2 verification failure or bound violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Sequence
@@ -61,9 +62,6 @@ def _build_parser() -> _Parser:
                         help="graph6 file overriding built-in generation for one n")
     census.add_argument("--output", help="also write the structured document here")
     census.add_argument("--format", choices=("table", "structured"), default="table")
-    census.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT)
-    census.add_argument("--fail-fast", action="store_true",
-                        help="stop on malformed graph6 records instead of skipping")
     return parser
 
 
@@ -197,24 +195,21 @@ def _parse_sources(items: list[str]) -> dict[int, str]:
 def _run_census(args) -> int:
     try:
         sources = _parse_sources(args.input)
-    except ValueError as exc:
+        # Opened first, so that an unwritable path fails before the census runs;
+        # append mode keeps an earlier document if the census then fails.
+        with open(args.output, "a") if args.output else contextlib.nullcontext() as out:
+            table = run_census(
+                max_n=args.max_n,
+                k_max=args.k_max,
+                sources=sources,
+                jobs=args.jobs,
+            )
+            if out is not None:
+                out.truncate(0)
+                out.write(table.to_json())
+    except (ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    try:
-        table = run_census(
-            max_n=args.max_n,
-            k_max=args.k_max,
-            sources=sources,
-            jobs=args.jobs,
-            cap=args.exact_cap,
-            fail_fast=args.fail_fast,
-        )
-    except (ValueError, Graph6Error, OSError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(table.to_json())
     if args.format == "structured":
         sys.stdout.write(table.to_json())
     else:

@@ -80,15 +80,11 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def read_stream(
-    lines: Iterable[str],
-    fail_fast: bool = True,
-    errors: list[Graph6Error] | None = None,
-) -> Iterator[Graph]:
-    """Yield graphs from lines of graph6 text.
+def read_stream(lines: Iterable[str]) -> Iterator[tuple[int, Graph]]:
+    """Yield (line number, graph) for each record in lines of graph6 text.
 
-    Blank lines are skipped.  On a malformed record, either raise with the
-    line number (fail_fast) or record the error and keep going.
+    Blank lines are skipped.  A malformed record raises Graph6Error with
+    its line number set.
     """
     for lineno, raw in enumerate(lines, start=1):
         s = raw.strip()
@@ -97,10 +93,6 @@ def read_stream(
         if not s:
             continue
         try:
-            yield parse_graph6(s)
+            yield lineno, parse_graph6(s)
         except Graph6Error as exc:
-            wrapped = Graph6Error(str(exc), line=lineno)
-            if fail_fast:
-                raise wrapped from None
-            if errors is not None:
-                errors.append(wrapped)
+            raise Graph6Error(str(exc), line=lineno) from None

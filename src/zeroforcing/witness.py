@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 
-from .forcing import derived_set, is_stalled, spent_vertices
+from .forcing import derived_set
 from .graph_core import (
     Graph,
     components_within,
@@ -360,15 +360,12 @@ def witness_delta3(g: Graph) -> WitnessReport:
         return _cut_vertex_report(g, cuts)
     part = _build_partition(g)
     fill = part.left if part.left.bit_count() >= part.right.bit_count() else part.right
-    report = WitnessReport(
+    return WitnessReport(
         n=g.n,
         filled=fill,
         route="algo1-even",
         guaranteed_bound=(g.n + 1) // 2,
     )
-    _require(is_stalled(g, fill), "partition side failed to stall")
-    _require(spent_vertices(g, fill) == 0, "partition side contains a spent vertex")
-    return report
 
 
 def witness_general(g: Graph) -> WitnessReport:

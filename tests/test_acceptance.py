@@ -12,7 +12,6 @@ import time
 import pytest
 
 from zeroforcing import (
-    check_bounds_and_conjecture,
     failed_zero_forcing_number,
     generate_graphs,
     is_connected,
@@ -24,6 +23,7 @@ from zeroforcing import (
     write_graph6,
     zero_forcing_number,
     GraphRecord,
+    check_record,
 )
 
 from naive import count_classes_by_dedupe
@@ -72,7 +72,6 @@ def test_criterion_4_totals(census_n8):
 
 def test_criterion_5_bounds_exhaustive(census_n8):
     assert census_n8.violations == []
-    assert check_bounds_and_conjecture(census_n8) == []
 
 
 def test_criterion_6_constructive_soundness():
@@ -86,16 +85,13 @@ def test_criterion_6_constructive_soundness():
             assert size >= (n - 1) // 2, write_graph6(g)
             assert size <= failed_zero_forcing_number(g).value, write_graph6(g)
             if g.min_degree() >= 3:
-                assert report.guaranteed_bound >= n // 2, write_graph6(g)
-                if report.route == "algo1-even":
-                    assert report.guaranteed_bound >= (n + 1) // 2, write_graph6(g)
+                assert report.guaranteed_bound >= (n + 1) // 2, write_graph6(g)
 
 
 def test_criterion_7_conjecture_detector(census_n8):
     assert not any(f.kind == "conjecture" for f in census_n8.violations)
     planted = GraphRecord(graph6="H???????", n=9, zero=2, failed=2)
-    findings = check_bounds_and_conjecture(census_n8, records=[planted])
-    assert any(f.kind == "conjecture" for f in findings)
+    assert any(f.kind == "conjecture" for f in check_record(planted))
 
 
 def test_criterion_8_property_suites():

@@ -7,10 +7,10 @@ import pytest
 from zeroforcing import (
     CensusTable,
     Finding,
+    Graph6Error,
     GraphRecord,
     canonical_form,
     canonical_graph,
-    check_bounds_and_conjecture,
     check_record,
     complete_graph,
     cycle_graph,
@@ -161,7 +161,6 @@ def test_census_small_cells():
         (4, 6): 19,
     }
     assert table.violations == []
-    assert check_bounds_and_conjecture(table) == []
 
 
 def test_census_parallel_matches_serial():
@@ -184,21 +183,20 @@ def test_census_reads_sources(tmp_path):
 
 def test_census_source_errors(tmp_path):
     path = tmp_path / "bad.g6"
-    path.write_text("Bw\nB\n")
-    with pytest.raises(Exception):
-        run_census(max_n=3, k_max=1, sources={3: str(path)})
-    table = run_census(max_n=3, k_max=1, sources={3: str(path)}, fail_fast=False)
-    assert len(table.read_errors) == 1
+    cases = [
+        ("Bw\nB\n", 2, "body bytes"),  # malformed
+        ("Bw\n\nCF\n", 3, "expected 3 vertices, found 4"),
+        ("Bw\nBg\nBW\n", 3, "same class as line 2"),  # BW relabels Bg
+    ]
+    for text, line, message in cases:
+        path.write_text(text)
+        with pytest.raises(Graph6Error) as err:
+            run_census(max_n=3, k_max=1, sources={3: str(path)})
+        assert err.value.line == line
+        assert str(path) in str(err.value) and message in str(err.value)
 
 
 def test_census_rejects_missing_source_for_large_n():
     with pytest.raises(ValueError):
         run_census(max_n=10, k_max=4)
 
-
-def test_consistency_checker_spots_planted_violation():
-    table = run_census(max_n=5, k_max=3)
-    bad = GraphRecord(graph6="H???????", n=9, zero=2, failed=2)
-    findings = check_bounds_and_conjecture(table, records=[bad])
-    kinds = {f.kind for f in findings}
-    assert "lower-bound" in kinds and "conjecture" in kinds

@@ -107,6 +107,7 @@ def test_census_table(capsys):
 
 def test_census_structured_and_output(tmp_path, capsys):
     path = tmp_path / "census.json"
+    path.write_text("an earlier, longer document\n" * 100)
     assert run(["census", "--max-n", "4", "--format", "structured",
                 "--output", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -124,14 +125,50 @@ def test_census_input_override(tmp_path, capsys):
     assert rows["connected"] == ["1", "1", "1", "3"]
 
 
-def test_census_bad_input_flag(capsys):
+def test_census_bad_input_flag(tmp_path, capsys):
     assert run(["census", "--max-n", "3", "--input", "three=/tmp/x"]) == 1
     assert "N=PATH" in capsys.readouterr().err
+    src = tmp_path / "n3.g6"
+    src.write_text("Bw\n")
+    for n in ("7", "0"):
+        assert run(["census", "--max-n", "3", "--input", f"{n}={src}"]) == 1
+        captured = capsys.readouterr()
+        assert f"{src}: input for n={n} is outside" in captured.err
+        assert captured.out == ""
     for flags in (["--max-n", "0"], ["--max-n", "-2"],
                   ["--max-n", "3", "--jobs", "0"], ["--max-n", "3", "--k-max", "0"]):
         assert run(["census", *flags]) == 1
         captured = capsys.readouterr()
         assert "must be at least 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("Bw\nB\n", 2, "expected 1 body bytes"),
+    ("Bw\nCF\n", 2, "expected 3 vertices"),
+    ("Bw\nBw\n", 2, "same class as line 1"),
+], ids=["malformed", "wrong-size", "duplicate"])
+def test_census_bad_input_file(tmp_path, capsys, text, line, message):
+    src = tmp_path / "n3.g6"
+    src.write_text(text)
+    assert run(["census", "--max-n", "3", "--input", f"3={src}"]) == 1
+    captured = capsys.readouterr()
+    assert f"{src}: line {line}: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_census_output_opened_before_the_run(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.g6"
+    bad.write_text("B\n")
+    kept = tmp_path / "census.json"
+    kept.write_text("earlier document\n")
+    assert run(["census", "--max-n", "3", "--input", f"3={bad}", "--output", str(kept)]) == 1
+    assert kept.read_text() == "earlier document\n"
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "run_census", lambda **kw: pytest.fail("census ran"))
+    path = tmp_path / "no" / "census.json"
+    assert run(["census", "--max-n", "3", "--output", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and captured.out == ""
 
 
 def test_census_missing_source(capsys):

@@ -78,21 +78,13 @@ def test_networkx_agrees_both_ways():
 
 def test_read_stream_collects_and_numbers_lines():
     lines = [">>graph6<<", "Bw", "", "  ", "Bg", "@"]
-    graphs = list(read_stream(lines))
-    assert [g.n for g in graphs] == [3, 3, 1]
+    assert [(line, g.n) for line, g in read_stream(lines)] == [(2, 3), (5, 3), (6, 1)]
 
 
 def test_read_stream_fail_fast():
     with pytest.raises(Graph6Error) as err:
         list(read_stream(["Bw", "B"]))
     assert err.value.line == 2
-
-
-def test_read_stream_collecting_errors():
-    errors = []
-    graphs = list(read_stream(["Bw", "B", "Bg"], fail_fast=False, errors=errors))
-    assert [g.n for g in graphs] == [3, 3]
-    assert len(errors) == 1 and errors[0].line == 2
 
 
 def test_petersen_round_trip():

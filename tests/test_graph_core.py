@@ -155,10 +155,15 @@ def _has_even_cycle_brute(g):
 
 
 def test_even_cycle_finder_is_complete():
-    rng = random.Random(37)
-    for _ in range(400):
-        n = rng.randint(3, 9)
-        g = random_graph(rng, n, rng.uniform(0.15, 0.5))
+    graphs = []
+    # The dense batch gives the minimum-degree-3 assertion about a hundred graphs.
+    for seed, count, n_range, p_range in ((37, 400, (3, 9), (0.15, 0.5)),
+                                          (43, 200, (4, 9), (0.5, 0.9))):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(*n_range)
+            graphs.append(random_graph(rng, n, rng.uniform(*p_range)))
+    for g in graphs:
         found = find_even_cycle(g)
         if found is not None:
             _check_cycle(g, found, want_even=True)
