@@ -23,7 +23,7 @@ from .exact import (
     zero_forcing_number,
 )
 from .forcing import derived_set, is_zero_forcing
-from .graph6_io import Graph6Error, parse_graph6
+from .graph6_io import Graph6Error, parse_graph6, read_records
 from .graph_core import Graph, is_connected, vertices_of
 from .witness import ConstructionError, verify_witness, witness_general
 
@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
 def _input_records(args_graphs: list[str]) -> list[str]:
     if args_graphs:
         return args_graphs
-    return [line for line in sys.stdin.read().splitlines() if line.strip()]
+    return [record for _, record in read_records(sys.stdin.read().splitlines())]
 
 
 def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
@@ -188,7 +188,10 @@ def _parse_sources(items: list[str]) -> dict[int, str]:
         key, sep, path = item.partition("=")
         if not sep or not key.isdigit():
             raise ValueError(f"--input expects N=PATH, got {item!r}")
-        out[int(key)] = path
+        n = int(key)
+        if n in out:
+            raise ValueError(f"--input {n} given twice: {out[n]} and {path}")
+        out[n] = path
     return out
 
 
@@ -225,6 +228,9 @@ def _run_census(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "analyze":
+        if args.exact_cap < 1:
+            print(f"--exact-cap must be at least 1, got {args.exact_cap}", file=sys.stderr)
+            return EXIT_USAGE
         return _run_graph_command(
             args, lambda rec, g: _analysis_document(rec, g, args.exact_cap)
         )

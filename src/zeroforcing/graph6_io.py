@@ -4,7 +4,8 @@ A record is one printable ASCII line: byte n+63, then the upper triangle
 of the adjacency matrix in column-major order ((0,1), (0,2), (1,2),
 (0,3), ...) packed big-endian into 6-bit groups, each offset by 63.
 Trailing pad bits must be zero.  The optional ">>graph6<<" header emitted
-by some tools is tolerated and skipped, as are CRLF line endings.
+by some tools is skipped at the start of a stream (line 1) and rejected
+anywhere else; CRLF line endings are tolerated.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ class Graph6Error(ValueError):
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 record."""
+    """Decode one graph6 record (a header is not part of a record)."""
     s = text.strip()
     if s.startswith(HEADER):
-        s = s[len(HEADER):].strip()
+        raise Graph6Error(f"a {HEADER} header may only open a stream")
     if not s:
         raise Graph6Error("empty record")
     values = []
@@ -80,18 +81,27 @@ def write_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def read_stream(lines: Iterable[str]) -> Iterator[tuple[int, Graph]]:
-    """Yield (line number, graph) for each record in lines of graph6 text.
+def read_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped record) for each nonblank line.
 
-    Blank lines are skipped.  A malformed record raises Graph6Error with
-    its line number set.
+    A ">>graph6<<" header is dropped from line 1 only; on a later line it
+    stays, so parsing that record fails.
     """
     for lineno, raw in enumerate(lines, start=1):
         s = raw.strip()
         if lineno == 1 and s.startswith(HEADER):
             s = s[len(HEADER):].strip()
-        if not s:
-            continue
+        if s:
+            yield lineno, s
+
+
+def read_stream(lines: Iterable[str]) -> Iterator[tuple[int, Graph]]:
+    """Yield (line number, graph) for each record in lines of graph6 text.
+
+    Blank lines and a header on line 1 are skipped.  A malformed record
+    raises Graph6Error with its line number set.
+    """
+    for lineno, s in read_records(lines):
         try:
             yield lineno, parse_graph6(s)
         except Graph6Error as exc:

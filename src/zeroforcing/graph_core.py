@@ -10,7 +10,6 @@ vertex index first.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -185,26 +184,6 @@ def cut_vertices(g: Graph) -> int:
     return state["cuts"]
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A simple cycle given as its vertex sequence (closing edge implied)."""
-
-    vertices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def parity(self) -> str:
-        return "even" if len(self.vertices) % 2 == 0 else "odd"
-
-    def is_cycle_of(self, g: Graph) -> bool:
-        vs = self.vertices
-        if len(vs) < 3 or len(set(vs)) != len(vs):
-            return False
-        return all(g.has_edge(vs[i - 1], vs[i]) for i in range(len(vs)))
-
-
 def _fundamental_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Fundamental cycles of a DFS forest, in back-edge discovery order.
 
@@ -269,8 +248,8 @@ def _as_single_cycle(edges: frozenset[tuple[int, int]]) -> tuple[int, ...] | Non
     return tuple(walk)
 
 
-def find_even_cycle(g: Graph) -> Cycle | None:
-    """An even-length cycle if the graph has one.
+def find_even_cycle(g: Graph) -> tuple[int, ...] | None:
+    """The vertices of an even-length cycle if the graph has one.
 
     Checks the DFS fundamental cycles first; when those are all odd, any
     even cycle must be the symmetric difference of two odd fundamental
@@ -279,7 +258,7 @@ def find_even_cycle(g: Graph) -> Cycle | None:
     cycles = _fundamental_cycles(g)
     for path in cycles:
         if len(path) % 2 == 0:
-            return Cycle(path)
+            return path
     edge_sets = [_cycle_edges(path) for path in cycles]
     for i in range(len(cycles)):
         for j in range(i + 1, len(cycles)):
@@ -287,95 +266,71 @@ def find_even_cycle(g: Graph) -> Cycle | None:
                 continue
             walk = _as_single_cycle(edge_sets[i] ^ edge_sets[j])
             if walk is not None:
-                return Cycle(walk)
+                return walk
     return None
 
 
-def find_odd_cycle(g: Graph) -> Cycle | None:
-    """An odd-length cycle if the graph has one (i.e. it is not bipartite)."""
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in iter_bits(g.adj[v]):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    parent[u] = v
-                    depth[u] = depth[v] + 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return Cycle(_parent_path_cycle(parent, depth, v, u))
+def find_odd_cycle(g: Graph) -> tuple[int, ...] | None:
+    """The vertices of an odd-length cycle if the graph has one.
+
+    Returns the first odd DFS fundamental cycle, which is complete: if
+    every fundamental cycle is even, colouring by DFS depth parity is
+    proper.  A tree edge joins depths one apart, and every other edge of an
+    undirected DFS joins a vertex to an ancestor, closing a cycle of length
+    (depth difference + 1); that length is even, so the depths differ by an
+    odd number.  The graph is then bipartite.
+    """
+    for path in _fundamental_cycles(g):
+        if len(path) % 2:
+            return path
     return None
 
 
-def _parent_path_cycle(parent: list[int], depth: list[int], u: int, v: int) -> tuple[int, ...]:
-    """Close the tree paths of adjacent u, v through their lowest common ancestor."""
-    up_u, up_v = [u], [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        up_u.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        up_v.append(b)
-    while a != b:
-        a = parent[a]
-        up_u.append(a)
-        b = parent[b]
-        up_v.append(b)
-    return tuple(up_u[:-1] + [a] + up_v[:-1][::-1])
-
-
-def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on a nonempty vertex mask, plus the old->new index map."""
-    if keep == 0:
-        raise ValueError("induced subgraph needs at least one vertex")
+def _reindex(g: Graph, keep: int) -> tuple[list[int], tuple[int, ...]]:
+    """Rows of the subgraph induced on a mask, its vertices renumbered
+    ascending, and the original index of each new vertex."""
     old = vertices_of(keep)
-    vmap = {o: i for i, o in enumerate(old)}
-    adj = []
+    new = {o: i for i, o in enumerate(old)}
+    rows = []
     for o in old:
         row = 0
         for u in iter_bits(g.adj[o] & keep):
-            row |= 1 << vmap[u]
-        adj.append(row)
-    return Graph(len(old), tuple(adj)), vmap
+            row |= 1 << new[u]
+        rows.append(row)
+    return rows, old
 
 
-def condense_path(g: Graph, v: int, x: int, y: int) -> tuple[Graph, dict[int, int], int]:
+def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph induced on a nonempty vertex mask, plus the original index
+    of each of its vertices (old[i] for new vertex i)."""
+    if keep == 0:
+        raise ValueError("induced subgraph needs at least one vertex")
+    rows, old = _reindex(g, keep)
+    return Graph(len(old), tuple(rows)), old
+
+
+def condense_path(g: Graph, v: int, x: int, y: int) -> tuple[Graph, tuple[int, ...], int]:
     """Contract the induced path x - v - y into a single new vertex.
 
     v must have exactly the neighbors x and y.  The result keeps every other
     vertex (reindexed ascending), appends the replacement vertex last, and
     joins it to the surviving neighbors of x and y.  Dropping x and y from
     the replacement's neighborhood keeps the result simple.
-    Returns (graph, old->new map for kept vertices, replacement index).
+    Returns (graph, original index of each kept vertex, replacement index).
     """
     if g.adj[v] != (1 << x) | (1 << y) or x == y:
         raise ValueError(f"vertex {v} does not have exactly the neighbors {x} and {y}")
     drop = (1 << v) | (1 << x) | (1 << y)
-    keep = g.full & ~drop
     attach = (g.adj[x] | g.adj[y]) & ~drop
-    old = vertices_of(keep)
-    vmap = {o: i for i, o in enumerate(old)}
+    rows, old = _reindex(g, g.full & ~drop)
     w = len(old)
-    adj = []
     w_row = 0
-    for o in old:
-        row = 0
-        for u in iter_bits(g.adj[o] & keep):
-            row |= 1 << vmap[u]
+    for i, o in enumerate(old):
         if attach >> o & 1:
-            row |= 1 << w
-            w_row |= 1 << vmap[o]
-        adj.append(row)
-    adj.append(w_row)
-    return Graph(w + 1, tuple(adj)), vmap, w
+            rows[i] |= 1 << w
+            w_row |= 1 << i
+    rows.append(w_row)
+    return Graph(w + 1, tuple(rows)), old, w
 
 
 # ---------------------------------------------------------------------------

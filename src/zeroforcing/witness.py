@@ -200,7 +200,7 @@ def _build_partition(g: Graph) -> Partition:
 
     seed = find_even_cycle(g)
     _require(seed is not None, "no even cycle in a graph with min degree 3")
-    assign_alternating(list(seed.vertices), True)
+    assign_alternating(list(seed), True)
 
     while unassigned:
         if _absorb_two_sided(g, left, right, unassigned, assign):
@@ -233,32 +233,20 @@ def _absorb_split_pair(g, left, right, unassigned, assign_alternating) -> bool:
     Walks a shortest path from the vertex through unassigned territory to
     an assigned anchor (possibly one of the pair, reached again through at
     least one unassigned interior vertex) and alternates sides from the
-    anchor back.  Such a path exists in a 2-connected graph.
+    anchor back.  The anchor is the lowest assigned neighbor of the path's
+    last vertex.  Such a path exists in a 2-connected graph.
     """
     assigned = left | right
     for v in iter_bits(unassigned):
         pair = g.adj[v] & assigned
         if pair.bit_count() != 2 or not (pair & left and pair & right):
             continue
-        parent = {v: -1}
-        queue = deque([v])
-        hit = None
-        while queue and hit is None:
-            cur = queue.popleft()
-            for u in iter_bits(g.adj[cur]):
-                if assigned >> u & 1:
-                    if cur != v:
-                        hit = (u, cur)
-                        break
-                elif u not in parent:
-                    parent[u] = cur
-                    queue.append(u)
-        _require(hit is not None, f"no escape path from vertex {v}")
-        anchor, tail = hit
-        chain = [tail]
-        while chain[-1] != v:
-            chain.append(parent[chain[-1]])
-        assign_alternating(chain, bool(right >> anchor & 1))  # anchor's neighbor first
+        path = _attachment_path(g, g.adj[v] & unassigned, unassigned & ~(1 << v), assigned)
+        _require(path is not None, f"no escape path from vertex {v}")
+        anchors = g.adj[path[-1]] & assigned
+        anchor = (anchors & -anchors).bit_length() - 1
+        # the anchor's neighbor takes the anchor's opposite side
+        assign_alternating(path[::-1] + [v], bool(right >> anchor & 1))
         return True
     return False
 
@@ -273,18 +261,17 @@ def _absorb_residue(g, left, right, unassigned, assign_alternating) -> None:
     their assigned neighbors.
     """
     assigned = left | right
-    sub, smap = induced_subgraph(g, unassigned)
-    inv = {new: old for old, new in smap.items()}
+    sub, old = induced_subgraph(g, unassigned)
     _require(sub.min_degree() >= 2, "residue lost minimum degree 2")
 
     even = find_even_cycle(sub)
     if even is not None:
-        assign_alternating([inv[u] for u in even.vertices], True)
+        assign_alternating([old[u] for u in even], True)
         return
 
     odd = find_odd_cycle(sub)
     _require(odd is not None, "residue with min degree 2 has no cycle")
-    cycle = [inv[u] for u in odd.vertices]
+    cycle = [old[u] for u in odd]
     cycle_mask = mask_of(cycle)
 
     p_path = _attachment_path(g, cycle_mask, unassigned & ~cycle_mask, assigned)
@@ -424,10 +411,9 @@ def _lift_leaf(g: Graph) -> WitnessReport:
     v = next(u for u in range(g.n) if g.degree(u) == 1)
     w = g.adj[v].bit_length() - 1
     keep = g.full & ~(1 << v) & ~(1 << w)
-    sub, vmap = induced_subgraph(g, keep)
+    sub, old = induced_subgraph(g, keep)
     child = witness_general(sub)
-    inv = {new: old for old, new in vmap.items()}
-    lifted = mask_of(inv[u] for u in iter_bits(child.filled))
+    lifted = mask_of(old[u] for u in iter_bits(child.filled))
     if g.adj[w] & keep & ~lifted:
         fill, tag = lifted | 1 << w, "delta1-a"
     else:
@@ -450,10 +436,9 @@ def _lift_contraction(g: Graph) -> WitnessReport:
     """
     v = next(u for u in range(g.n) if g.degree(u) == 2)
     x, y = vertices_of(g.adj[v])
-    sub, vmap, w = condense_path(g, v, x, y)
+    sub, old, w = condense_path(g, v, x, y)
     child = witness_general(sub)
-    inv = {new: old for old, new in vmap.items()}
-    lifted = mask_of(inv[u] for u in iter_bits(child.filled & ~(1 << w)))
+    lifted = mask_of(old[u] for u in iter_bits(child.filled & ~(1 << w)))
     bv, bx, by = 1 << v, 1 << x, 1 << y
     if not child.filled >> w & 1:
         fill, tag = lifted | bv, "delta2-case1"

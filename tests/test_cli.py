@@ -47,6 +47,21 @@ def test_analyze_reads_stdin(capsys):
     assert len(lines) == 2
 
 
+def test_analyze_reads_a_stdin_header(capsys):
+    assert run(["analyze", "--format", "structured"], stdin=">>graph6<<Bw\n") == 0
+    assert json.loads(capsys.readouterr().out)["graph6"] == "Bw"
+    assert run(["analyze", ">>graph6<<Bw"]) == 1
+    captured = capsys.readouterr()
+    assert "header" in captured.err and captured.out == ""
+
+
+def test_analyze_rejects_cap_below_1(capsys):
+    for cap in ("0", "-3"):
+        assert run(["analyze", "--exact-cap", cap, "Bw"]) == 1
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err and captured.out == ""
+
+
 def test_analyze_respects_cap(capsys):
     text = write_graph6(path_graph(12))
     assert run(["analyze", "--format", "structured", "--exact-cap", "8", text]) == 0
@@ -135,6 +150,12 @@ def test_census_bad_input_flag(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"{src}: input for n={n} is outside" in captured.err
         assert captured.out == ""
+    other = tmp_path / "other.g6"
+    other.write_text("Bw\n")
+    assert run(["census", "--max-n", "3", "--input", f"3={src}", "--input", f"3={other}"]) == 1
+    captured = capsys.readouterr()
+    assert f"--input 3 given twice: {src} and {other}" in captured.err
+    assert captured.out == ""
     for flags in (["--max-n", "0"], ["--max-n", "-2"],
                   ["--max-n", "3", "--jobs", "0"], ["--max-n", "3", "--k-max", "0"]):
         assert run(["census", *flags]) == 1
@@ -146,7 +167,8 @@ def test_census_bad_input_flag(tmp_path, capsys):
     ("Bw\nB\n", 2, "expected 1 body bytes"),
     ("Bw\nCF\n", 2, "expected 3 vertices"),
     ("Bw\nBw\n", 2, "same class as line 1"),
-], ids=["malformed", "wrong-size", "duplicate"])
+    ("Bw\n>>graph6<<Bw\n", 2, "a >>graph6<< header may only open a stream"),
+], ids=["malformed", "wrong-size", "duplicate", "late-header"])
 def test_census_bad_input_file(tmp_path, capsys, text, line, message):
     src = tmp_path / "n3.g6"
     src.write_text(text)

@@ -29,9 +29,11 @@ def test_known_encodings():
 
 
 def test_header_and_whitespace_tolerated():
-    assert parse_graph6(">>graph6<<Bw").edges() == complete_graph(3).edges()
+    assert [g for _, g in read_stream([">>graph6<<Bw"])] == [complete_graph(3)]
     assert parse_graph6("Bw\r\n").edges() == complete_graph(3).edges()
     assert parse_graph6("  Bw  ").edges() == complete_graph(3).edges()
+    with pytest.raises(Graph6Error, match="header"):
+        parse_graph6(">>graph6<<Bw")
 
 
 @pytest.mark.parametrize("bad", [
@@ -84,6 +86,12 @@ def test_read_stream_collects_and_numbers_lines():
 def test_read_stream_fail_fast():
     with pytest.raises(Graph6Error) as err:
         list(read_stream(["Bw", "B"]))
+    assert err.value.line == 2
+
+
+def test_read_stream_rejects_a_later_header():
+    with pytest.raises(Graph6Error, match="header") as err:
+        list(read_stream(["Bw", ">>graph6<<Bg"]))
     assert err.value.line == 2
 
 

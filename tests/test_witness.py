@@ -13,11 +13,13 @@ from zeroforcing import (
     cycle_graph,
     derived_set,
     failed_zero_forcing_number,
+    find_odd_cycle,
     from_edges,
     generate_graphs,
     is_connected,
     is_stalled,
     mask_of,
+    parse_graph6,
     path_graph,
     petersen_graph,
     spent_vertices,
@@ -106,6 +108,24 @@ def test_algo1_on_petersen():
     sizes = sorted([part.left.bit_count(), part.right.bit_count()])
     assert sum(sizes) == 10
     # both sides stall when filled
+    assert is_stalled(g, part.left)
+    assert is_stalled(g, part.right)
+
+
+def test_algo1_odd_residue(monkeypatch):
+    # G@ouNo is the first n = 8 class whose case-4 residue has only odd
+    # cycles, so the partition must take the odd-cycle route
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return find_odd_cycle(g)
+
+    monkeypatch.setattr(witness, "find_odd_cycle", spy)
+    g = parse_graph6("G@ouNo")
+    part = algo1_partition(g)
+    assert calls
+    part.check(g)
     assert is_stalled(g, part.left)
     assert is_stalled(g, part.right)
 
