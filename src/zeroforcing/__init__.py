@@ -13,7 +13,6 @@ from .census import (
     Finding,
     GraphRecord,
     canonical_form,
-    canonical_graph,
     check_record,
     generate_graphs,
     run_census,
@@ -81,7 +80,6 @@ __all__ = [
     "WitnessVerdict",
     "algo1_partition",
     "canonical_form",
-    "canonical_graph",
     "check_record",
     "complete_bipartite",
     "complete_graph",

@@ -1,11 +1,13 @@
 """Isomorph-free censuses of zero forcing quantities over small graphs.
 
-Graph classes are generated by extending each (n-1)-vertex class with a
-new vertex over every neighborhood subset and deduplicating by canonical
-form; this is simple and provably complete, and fast enough through n = 9.
-Canonical forms come from equitable-partition refinement on degrees plus
-backtracking over the refined cells, minimizing the packed upper-triangle
-adjacency bit-string.
+Graph classes are generated by canonical deletion (McKay's method, as in
+nauty's geng): each (n-1)-vertex class is extended by a new vertex over
+every neighborhood, and a child is kept only when the new vertex is the
+one a canonical rule would delete from it, so each class comes from one
+parent and duplicates are removed within that parent, with no set of
+every class seen so far.  Canonical forms come from equitable-partition
+refinement on degrees plus backtracking over the refined cells,
+minimizing the packed upper-triangle adjacency bit-string.
 
 A census walks the connected classes per vertex count, computes the exact
 zero forcing and failed zero forcing numbers of each, tallies them per
@@ -52,7 +54,7 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
                 bit = rem & -rem
                 rem ^= bit
                 row = adj[bit.bit_length() - 1]
-                sig = tuple((row & c).bit_count() for c in cells)
+                sig = tuple([(row & c).bit_count() for c in cells])
                 if sig in buckets:
                     buckets[sig] |= bit
                 else:
@@ -160,13 +162,6 @@ def canonical_form(g: Graph) -> bytes:
     return bytes([g.n]) + bits.to_bytes(width, "big")
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonically labeled representative of g's isomorphism class."""
-    if g.n > CANON_MAX:
-        raise ValueError(f"canonical labeling capped at {CANON_MAX} vertices")
-    return Graph(g.n, _adj_of_bits(g.n, _canon_bits(g.n, g.adj)))
-
-
 # ---------------------------------------------------------------------------
 # Isomorph-free generation.
 
@@ -182,15 +177,78 @@ def _extended_adj(parent_adj: tuple[int, ...], neighborhood: int, n: int) -> tup
     return tuple(adj)
 
 
+def _top_keys(adj: tuple[int, ...], top: int) -> dict[int, tuple[int, ...]]:
+    """The sorted neighbor degrees of each vertex of degree top (the
+    largest degree); a vertex's key is its degree, then this tuple."""
+    degrees = [row.bit_count() for row in adj]
+    keys = {}
+    for u, row in enumerate(adj):
+        if degrees[u] == top:
+            nbrs = []
+            while row:
+                bit = row & -row
+                row ^= bit
+                nbrs.append(degrees[bit.bit_length() - 1])
+            nbrs.sort()
+            keys[u] = tuple(nbrs)
+    return keys
+
+
+def _delete_vertex(adj: tuple[int, ...], w: int) -> tuple[int, ...]:
+    """Adjacency without vertex w, the vertices above it shifted down one."""
+    low = (1 << w) - 1
+    return tuple(row & low | row >> 1 & ~low for u, row in enumerate(adj) if u != w)
+
+
 def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
-    seen: set[int] = set()
+    """One canonical graph per class on n vertices, from every parent class
+    on n - 1 vertices, by canonical deletion (B. D. McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).
+
+    A vertex's key is its degree, then the sorted degrees of its neighbors.
+    A child C = P + v is kept only when v ties for the largest key and
+    C - w* is isomorphic to P, where w* is the first vertex with the
+    largest key in C's canonical labeling.  The class of C - w* depends on
+    C's class alone, so each class is kept from one parent only and
+    duplicates can only come from that parent; and every class C is
+    reached from the parent class of C - w*, with v in the place of w*.
+    Parents must be canonically labeled, as every generated class is, so
+    that a parent's own packed string is its canonical one.
+    """
+    v = n - 1
     for parent in parents:
-        for neighborhood in range(1 << (n - 1)):
+        parent_bits = _pack_bits(parent.adj, list(range(v)))
+        by_degree = [0] * n
+        for u, row in enumerate(parent.adj):
+            by_degree[row.bit_count()] |= 1 << u
+        top = max(d for d in range(n) if by_degree[d])
+        local: set[int] = set()
+        for neighborhood in range(1 << v):
+            size = neighborhood.bit_count()
+            # v must have the largest degree in C
+            if size < top or size == top and neighborhood & by_degree[top]:
+                continue
             adj = _extended_adj(parent.adj, neighborhood, n)
+            # keys are compared only when another vertex also has degree size
+            tied = False
+            if by_degree[size - 1] & neighborhood | by_degree[size] & ~neighborhood:
+                keys = _top_keys(adj, size)
+                rival = max(key for u, key in keys.items() if u != v)
+                if rival > keys[v]:
+                    continue
+                tied = rival == keys[v]
             bits = _canon_bits(n, adj)
-            if bits not in seen:
-                seen.add(bits)
-                yield Graph(n, _adj_of_bits(n, bits))
+            if bits in local:
+                continue
+            local.add(bits)
+            canon = _adj_of_bits(n, bits)
+            # when v alone holds the largest key, w* is v and C - w* is P
+            if tied:
+                canon_keys = _top_keys(canon, size)
+                w = min(u for u, key in canon_keys.items() if key == keys[v])
+                if _canon_bits(v, _delete_vertex(canon, w)) != parent_bits:
+                    continue
+            yield Graph(n, canon)
 
 
 @lru_cache(maxsize=None)

@@ -65,10 +65,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _input_records(args_graphs: list[str]) -> list[str]:
+def _input_records(args_graphs: list[str]) -> list[tuple[str, str]]:
+    """(where, record) pairs; where names the argument or the stdin line."""
     if args_graphs:
-        return args_graphs
-    return [record for _, record in read_records(sys.stdin.read().splitlines())]
+        return [(f"argument {i}", record) for i, record in enumerate(args_graphs, start=1)]
+    lines = sys.stdin.read().splitlines()
+    return [(f"stdin: line {lineno}", record) for lineno, record in read_records(lines)]
 
 
 def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
@@ -158,14 +160,16 @@ def _run_graph_command(args, build) -> int:
     if not records:
         print("no graph6 input", file=sys.stderr)
         return EXIT_USAGE
+    graphs = []
+    for where, record in records:
+        try:
+            graphs.append((record, parse_graph6(record)))
+        except Graph6Error as exc:
+            print(f"{where}: bad graph6 record {record!r}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     all_ok = True
     first = True
-    for record in records:
-        try:
-            g = parse_graph6(record)
-        except Graph6Error as exc:
-            print(f"bad graph6 record {record!r}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for record, g in graphs:
         try:
             doc, ok = build(record.strip(), g)
         except ConstructionError as exc:

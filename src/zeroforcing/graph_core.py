@@ -255,7 +255,12 @@ def find_even_cycle(g: Graph) -> tuple[int, ...] | None:
     even cycle must be the symmetric difference of two odd fundamental
     cycles that share an edge, so scanning the pairs is complete.
     """
-    cycles = _fundamental_cycles(g)
+    return _even_cycle(_fundamental_cycles(g))
+
+
+def _even_cycle(cycles: list[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """find_even_cycle's scan of a graph's DFS fundamental cycles; when it
+    returns None, every fundamental cycle is odd."""
     for path in cycles:
         if len(path) % 2 == 0:
             return path

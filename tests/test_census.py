@@ -9,8 +9,8 @@ from zeroforcing import (
     Finding,
     Graph6Error,
     GraphRecord,
+    Graph,
     canonical_form,
-    canonical_graph,
     check_record,
     complete_graph,
     cycle_graph,
@@ -22,6 +22,8 @@ from zeroforcing import (
     run_census,
     write_graph6,
 )
+
+from zeroforcing.census import _adj_of_bits, _canon_bits, _classes, _novel_extensions, _pack_bits
 
 from conftest import random_graph
 from naive import are_isomorphic, count_classes_by_dedupe
@@ -57,7 +59,7 @@ def test_canonical_graph_is_isomorphic_representative():
     for _ in range(100):
         n = rng.randint(1, 8)
         g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-        rep = canonical_graph(g)
+        rep = Graph(n, _adj_of_bits(n, _canon_bits(n, g.adj)))
         assert are_isomorphic(g, rep)
         assert canonical_form(rep) == canonical_form(g)
 
@@ -76,6 +78,23 @@ def test_generated_classes_are_pairwise_distinct():
         assert len(forms) == len(classes)
     for g, h in itertools.combinations(generate_graphs(5), 2):
         assert not are_isomorphic(g, h)
+
+
+def test_generated_classes_are_their_own_canonical_form():
+    # canonical deletion compares a child minus one vertex with its parent's
+    # own packed string, which is its canonical string only by this fact
+    for n in range(1, 8):
+        for g in generate_graphs(n):
+            assert _canon_bits(g.n, g.adj) == _pack_bits(g.adj, list(range(g.n)))
+
+
+def test_classes_from_distinct_parents_are_distinct():
+    # canonical deletion deduplicates within one parent only
+    for n in range(2, 8):
+        children = [g for parent in _classes(n - 1) for g in _novel_extensions([parent], n)]
+        assert len({canonical_form(g) for g in children}) == len(children)
+        counts = (len(children), sum(is_connected(g) for g in children))
+        assert counts == (count_classes_by_dedupe(n) if n <= 6 else (1044, 853))
 
 
 def test_generate_rejects_large_n():

@@ -75,6 +75,20 @@ def test_analyze_bad_graph6(capsys):
     assert "bad graph6 record" in capsys.readouterr().err
 
 
+def test_bad_stdin_record_names_its_line_and_prints_nothing(capsys):
+    assert run(["witness"], stdin="Bw\n\nB\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stdin: line 3: bad graph6 record 'B': ")
+
+
+def test_bad_argument_record_names_its_position_and_prints_nothing(capsys):
+    assert run(["analyze", "--format", "structured", "Bw", "Bg", "B", "Bw"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("argument 3: bad graph6 record 'B': ")
+
+
 def test_analyze_empty_input(capsys):
     assert run(["analyze"], stdin="") == 1
     assert "no graph6 input" in capsys.readouterr().err

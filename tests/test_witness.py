@@ -13,7 +13,6 @@ from zeroforcing import (
     cycle_graph,
     derived_set,
     failed_zero_forcing_number,
-    find_odd_cycle,
     from_edges,
     generate_graphs,
     is_connected,
@@ -43,7 +42,7 @@ def test_verify_witness_flags_forcing_sets():
     g = path_graph(3)
     bad = WitnessReport(n=3, filled=mask_of([0]), route="made-up", guaranteed_bound=1)
     verdict = verify_witness(g, bad)
-    assert not verdict.ok and not verdict.forcing_failed
+    assert not verdict.ok and verdict.failures == ("set forces the whole graph",)
     good = WitnessReport(n=3, filled=mask_of([1]), route="made-up", guaranteed_bound=1)
     assert verify_witness(g, good).ok
 
@@ -52,7 +51,8 @@ def test_verify_witness_flags_small_sets():
     g = path_graph(5)
     small = WitnessReport(n=5, filled=mask_of([1]), route="made-up", guaranteed_bound=2)
     verdict = verify_witness(g, small)
-    assert not verdict.ok and verdict.forcing_failed and not verdict.meets_bound
+    assert not verdict.ok
+    assert verdict.failures == ("set has 1 vertices, below the bound 2",)
 
 
 def test_cut_vertex_construction():
@@ -114,17 +114,32 @@ def test_algo1_on_petersen():
 
 def test_algo1_odd_residue(monkeypatch):
     # G@ouNo is the first n = 8 class whose case-4 residue has only odd
-    # cycles, so the partition must take the odd-cycle route
-    calls = []
+    # cycles, so the partition must take the odd-cycle route; one DFS pass
+    # over each residue serves both the even and the odd cycle
+    residues, passes, evens = [], [], []
+    real_induced, real_cycles, real_even = (
+        witness.induced_subgraph, witness._fundamental_cycles, witness._even_cycle)
 
-    def spy(g):
-        calls.append(g)
-        return find_odd_cycle(g)
+    def induced(g, keep):
+        out = real_induced(g, keep)
+        residues.append(out[0])
+        return out
 
-    monkeypatch.setattr(witness, "find_odd_cycle", spy)
+    def cycles(g):
+        passes.append(g)
+        return real_cycles(g)
+
+    def even(found):
+        evens.append(real_even(found))
+        return evens[-1]
+
+    monkeypatch.setattr(witness, "induced_subgraph", induced)
+    monkeypatch.setattr(witness, "_fundamental_cycles", cycles)
+    monkeypatch.setattr(witness, "_even_cycle", even)
     g = parse_graph6("G@ouNo")
     part = algo1_partition(g)
-    assert calls
+    assert None in evens
+    assert passes == residues
     part.check(g)
     assert is_stalled(g, part.left)
     assert is_stalled(g, part.right)
