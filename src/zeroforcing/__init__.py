@@ -41,7 +41,6 @@ from .graph_core import (
     cut_vertices,
     cycle_graph,
     find_even_cycle,
-    find_odd_cycle,
     from_edges,
     induced_subgraph,
     is_connected,
@@ -53,12 +52,8 @@ from .graph_core import (
 )
 from .witness import (
     ConstructionError,
-    Partition,
     WitnessReport,
-    WitnessVerdict,
-    algo1_partition,
     verify_witness,
-    witness_cut_vertex,
     witness_delta3,
     witness_general,
 )
@@ -75,10 +70,7 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "GraphRecord",
-    "Partition",
     "WitnessReport",
-    "WitnessVerdict",
-    "algo1_partition",
     "canonical_form",
     "check_record",
     "complete_bipartite",
@@ -90,7 +82,6 @@ __all__ = [
     "derived_set",
     "failed_zero_forcing_number",
     "find_even_cycle",
-    "find_odd_cycle",
     "from_edges",
     "generate_graphs",
     "induced_subgraph",
@@ -108,7 +99,6 @@ __all__ = [
     "spent_vertices",
     "verify_witness",
     "vertices_of",
-    "witness_cut_vertex",
     "witness_delta3",
     "witness_general",
     "write_graph6",

@@ -104,33 +104,27 @@ def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
         }
     except ExactCapExceeded as exc:
         doc["zero_forcing"] = doc["failed_zero_forcing"] = {"skipped": str(exc)}
-    report = witness_general(g)
-    verdict = verify_witness(g, report)
-    ok &= verdict.ok
-    doc["witness"] = {
-        "set": list(vertices_of(report.filled)),
-        "route": report.route,
-        "guaranteed_bound": report.guaranteed_bound,
-        "verified": verdict.ok,
-        "failures": list(verdict.failures),
-    }
-    return doc, ok
+    doc["witness"] = _witness_block(g)
+    return doc, ok and doc["witness"]["verified"]
 
 
 def _witness_document(graph6: str, g: Graph) -> tuple[dict, bool]:
+    block = _witness_block(g)
+    doc = {"schema": "zeroforcing-witness/2", "graph6": graph6, "n": g.n, **block}
+    return doc, block["verified"]
+
+
+def _witness_block(g: Graph) -> dict:
+    """The verified construction's fields, shared by both documents."""
     report = witness_general(g)
-    verdict = verify_witness(g, report)
-    doc = {
-        "schema": "zeroforcing-witness/2",
-        "graph6": graph6,
-        "n": g.n,
+    failures = verify_witness(g, report)
+    return {
         "set": list(vertices_of(report.filled)),
         "route": report.route,
         "guaranteed_bound": report.guaranteed_bound,
-        "verified": verdict.ok,
-        "failures": list(verdict.failures),
+        "verified": not failures,
+        "failures": list(failures),
     }
-    return doc, verdict.ok
 
 
 def _print_analysis_table(doc: dict) -> None:
@@ -163,27 +157,27 @@ def _run_graph_command(args, build) -> int:
     graphs = []
     for where, record in records:
         try:
-            graphs.append((record, parse_graph6(record)))
+            graphs.append((where, record, parse_graph6(record)))
         except Graph6Error as exc:
             print(f"{where}: bad graph6 record {record!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    all_ok = True
-    first = True
-    for record, g in graphs:
+    # every document is built before any is written, so that a construction
+    # failure on a later record leaves the output empty
+    built = []
+    for where, record, g in graphs:
         try:
-            doc, ok = build(record.strip(), g)
+            built.append(build(record.strip(), g))
         except ConstructionError as exc:
-            print(f"construction failed on {record!r}: {exc}", file=sys.stderr)
+            print(f"{where}: construction failed on {record!r}: {exc}", file=sys.stderr)
             return EXIT_VERIFY
-        all_ok &= ok
+    for i, (doc, _) in enumerate(built):
         if args.format == "structured":
             print(json.dumps(doc, sort_keys=True))
         else:
-            if not first:
+            if i:
                 print()
             _print_analysis_table(doc)
-        first = False
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    return EXIT_OK if all(ok for _, ok in built) else EXIT_VERIFY
 
 
 def _parse_sources(items: list[str]) -> dict[int, str]:

@@ -275,22 +275,6 @@ def _even_cycle(cycles: list[tuple[int, ...]]) -> tuple[int, ...] | None:
     return None
 
 
-def find_odd_cycle(g: Graph) -> tuple[int, ...] | None:
-    """The vertices of an odd-length cycle if the graph has one.
-
-    Returns the first odd DFS fundamental cycle, which is complete: if
-    every fundamental cycle is even, colouring by DFS depth parity is
-    proper.  A tree edge joins depths one apart, and every other edge of an
-    undirected DFS joins a vertex to an ancestor, closing a cycle of length
-    (depth difference + 1); that length is even, so the depths differ by an
-    odd number.  The graph is then bipartite.
-    """
-    for path in _fundamental_cycles(g):
-        if len(path) % 2:
-            return path
-    return None
-
-
 def _reindex(g: Graph, keep: int) -> tuple[list[int], tuple[int, ...]]:
     """Rows of the subgraph induced on a mask, its vertices renumbered
     ascending, and the original index of each new vertex."""

@@ -46,34 +46,6 @@ def _require(cond: bool, message: str) -> None:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Split of every vertex into a left and a right side.
-
-    Invariant: every left vertex has at least two right neighbors, and
-    every right vertex at least two left neighbors.  Filling either side
-    therefore leaves every filled vertex with two unfilled neighbors.
-    """
-
-    n: int
-    left: int
-    right: int
-
-    def check(self, g: Graph) -> None:
-        _require(self.left & self.right == 0, "partition sides overlap")
-        _require(self.left | self.right == g.full, "partition misses vertices")
-        for v in iter_bits(self.left):
-            _require(
-                (g.adj[v] & self.right).bit_count() >= 2,
-                f"left vertex {v} lacks two cross neighbors",
-            )
-        for v in iter_bits(self.right):
-            _require(
-                (g.adj[v] & self.left).bit_count() >= 2,
-                f"right vertex {v} lacks two cross neighbors",
-            )
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     """A failed zero forcing set with its construction provenance.
 
@@ -81,20 +53,16 @@ class WitnessReport:
     route promises (the actual set may be larger).
     """
 
-    n: int
     filled: int
     route: str
     guaranteed_bound: int
 
 
-@dataclass(frozen=True)
-class WitnessVerdict:
-    ok: bool
-    failures: tuple[str, ...]
+def verify_witness(g: Graph, report: WitnessReport) -> tuple[str, ...]:
+    """Recheck a report against the forcing rule from scratch.
 
-
-def verify_witness(g: Graph, report: WitnessReport) -> WitnessVerdict:
-    """Recheck a report against the forcing rule from scratch."""
+    Returns the failures found; an empty tuple means the report holds.
+    """
     inside = report.filled & ~g.full == 0
     failures = []
     if not (inside and derived_set(g, report.filled) != g.full):
@@ -106,49 +74,31 @@ def verify_witness(g: Graph, report: WitnessReport) -> WitnessVerdict:
         )
     if not (inside and report.filled != g.full):
         failures.append("set is not a proper subset of the vertices")
-    return WitnessVerdict(ok=not failures, failures=tuple(failures))
+    return tuple(failures)
 
 
-def _delta3_cut_vertices(g: Graph) -> int:
-    """Cut vertices of a connected graph with minimum degree >= 3.
+def _check_partition(g: Graph, left: int, right: int) -> None:
+    """Check that left and right split every vertex into two sides.
 
-    Raises ValueError when g has a vertex of degree below 3, and (from
-    cut_vertices) when g is disconnected.
+    Invariant: every left vertex has at least two right neighbors, and
+    every right vertex at least two left neighbors.  Filling either side
+    therefore leaves every filled vertex with two unfilled neighbors.
     """
-    if g.min_degree() < 3:
-        raise ValueError("construction needs minimum degree 3")
-    return cut_vertices(g)
+    _require(left & right == 0, "partition sides overlap")
+    _require(left | right == g.full, "partition misses vertices")
+    for v in iter_bits(left):
+        _require(
+            (g.adj[v] & right).bit_count() >= 2,
+            f"left vertex {v} lacks two cross neighbors",
+        )
+    for v in iter_bits(right):
+        _require(
+            (g.adj[v] & left).bit_count() >= 2,
+            f"right vertex {v} lacks two cross neighbors",
+        )
 
 
-def witness_cut_vertex(g: Graph) -> WitnessReport:
-    """Fill everything except the smallest piece hanging off a cut vertex.
-
-    Needs a connected graph with minimum degree >= 3 and a cut vertex; the
-    lowest cut vertex v is used.  The filled set is all vertices outside
-    the smallest component of g - v, including v itself.  When v has a
-    single neighbor w inside that component the set forces w and nothing
-    else; the closure is then the stalled set the size guarantee refers to.
-    """
-    cuts = _delta3_cut_vertices(g)
-    if not cuts:
-        raise ValueError("graph has no cut vertex")
-    return _cut_vertex_report(g, cuts)
-
-
-def _cut_vertex_report(g: Graph, cuts: int) -> WitnessReport:
-    v = (cuts & -cuts).bit_length() - 1
-    smallest = components_within(g, g.full ^ (1 << v))[0]
-    fill = g.full & ~smallest
-    _require(derived_set(g, fill) != g.full, "cut-vertex fill forced the whole graph")
-    return WitnessReport(
-        n=g.n,
-        filled=fill,
-        route="cut-vertex",
-        guaranteed_bound=(g.n + 1) // 2,
-    )
-
-
-def algo1_partition(g: Graph) -> Partition:
+def _build_partition(g: Graph) -> tuple[int, int]:
     """Left/right partition for connected, 2-connected, min degree 3.
 
     Seeds from an even cycle, which every graph with minimum degree 3 has:
@@ -160,63 +110,48 @@ def algo1_partition(g: Graph) -> Partition:
     priority order: two assigned neighbors toward one side; an escape path
     when the two assigned neighbors sit on opposite sides; and, when every
     unassigned vertex touches at most one assigned vertex, a cycle (plus
-    connecting paths) inside the unassigned residue.  All scans take the
-    lowest qualifying vertex.
+    connecting paths) inside the unassigned residue.  Each case returns
+    the vertices it absorbs and the side of the first; the sides alternate
+    along them.  All scans take the lowest qualifying vertex.  Returns
+    (left, right).
     """
-    if _delta3_cut_vertices(g):
-        raise ValueError("partition construction needs a 2-connected graph")
-    return _build_partition(g)
-
-
-def _build_partition(g: Graph) -> Partition:
-    left = right = 0
-    unassigned = g.full
-
-    def assign(v: int, to_left: bool) -> None:
-        nonlocal left, right, unassigned
-        _require(unassigned >> v & 1, f"vertex {v} assigned twice")
-        if to_left:
-            left |= 1 << v
-        else:
-            right |= 1 << v
-        unassigned ^= 1 << v
-
-    def assign_alternating(vs: list[int], start_left: bool) -> None:
-        side = start_left
-        for v in vs:
-            assign(v, side)
-            side = not side
-
     seed = find_even_cycle(g)
     _require(seed is not None, "no even cycle in a graph with min degree 3")
-    assign_alternating(list(seed), True)
+    left = right = 0
+    unassigned = g.full
+    vertices, to_left = seed, True
+    while True:
+        for v in vertices:
+            _require(unassigned >> v & 1, f"vertex {v} assigned twice")
+            if to_left:
+                left |= 1 << v
+            else:
+                right |= 1 << v
+            unassigned ^= 1 << v
+            to_left = not to_left
+        if not unassigned:
+            break
+        vertices, to_left = (
+            _absorb_two_sided(g, left, right, unassigned)
+            or _absorb_split_pair(g, left, right, unassigned)
+            or _absorb_residue(g, left, right, unassigned)
+        )
+    _check_partition(g, left, right)
+    return left, right
 
-    while unassigned:
-        if _absorb_two_sided(g, left, right, unassigned, assign):
-            continue
-        if _absorb_split_pair(g, left, right, unassigned, assign_alternating):
-            continue
-        _absorb_residue(g, left, right, unassigned, assign_alternating)
 
-    part = Partition(g.n, left, right)
-    part.check(g)
-    return part
-
-
-def _absorb_two_sided(g, left, right, unassigned, assign) -> bool:
+def _absorb_two_sided(g, left, right, unassigned) -> tuple[list[int], bool] | None:
     """Cases 1 and 2: a vertex with two neighbors toward one side."""
     for v in iter_bits(unassigned):
         if (g.adj[v] & left).bit_count() >= 2:
-            assign(v, False)
-            return True
+            return [v], False
     for v in iter_bits(unassigned):
         if (g.adj[v] & right).bit_count() >= 2:
-            assign(v, True)
-            return True
-    return False
+            return [v], True
+    return None
 
 
-def _absorb_split_pair(g, left, right, unassigned, assign_alternating) -> bool:
+def _absorb_split_pair(g, left, right, unassigned) -> tuple[list[int], bool] | None:
     """Case 3: exactly two assigned neighbors, one left and one right.
 
     Walks a shortest path from the vertex through unassigned territory to
@@ -235,12 +170,11 @@ def _absorb_split_pair(g, left, right, unassigned, assign_alternating) -> bool:
         anchors = g.adj[path[-1]] & assigned
         anchor = (anchors & -anchors).bit_length() - 1
         # the anchor's neighbor takes the anchor's opposite side
-        assign_alternating(path[::-1] + [v], bool(right >> anchor & 1))
-        return True
-    return False
+        return path[::-1] + [v], bool(right >> anchor & 1)
+    return None
 
 
-def _absorb_residue(g, left, right, unassigned, assign_alternating) -> None:
+def _absorb_residue(g, left, right, unassigned) -> tuple[list[int], bool]:
     """Case 4: every unassigned vertex touches at most one assigned vertex.
 
     The unassigned residue then keeps minimum degree 2 and contains a
@@ -256,10 +190,17 @@ def _absorb_residue(g, left, right, unassigned, assign_alternating) -> None:
     cycles = _fundamental_cycles(sub)
     even = _even_cycle(cycles)
     if even is not None:
-        assign_alternating([old[u] for u in even], True)
-        return
+        return [old[u] for u in even], True
 
-    # Every fundamental cycle is odd, so the first is find_odd_cycle's answer.
+    # Every fundamental cycle is odd, so cycles[0] is an odd cycle when the
+    # list is not empty.  Taking the first odd fundamental cycle is complete:
+    # if every fundamental cycle is even, colouring by DFS depth parity is
+    # proper.  A tree edge joins depths one apart, and every other edge of an
+    # undirected DFS joins a vertex to an ancestor, closing a cycle of length
+    # (depth difference + 1); that length is even, so the depths differ by an
+    # odd number, and the graph is bipartite.  A residue with minimum degree
+    # 2 has a cycle, and here no even one, so it is not bipartite and the
+    # list is not empty.
     _require(bool(cycles), "residue with min degree 2 has no cycle")
     cycle = [old[u] for u in cycles[0]]
     cycle_mask = mask_of(cycle)
@@ -299,7 +240,7 @@ def _absorb_residue(g, left, right, unassigned, assign_alternating) -> None:
     choice = full_path(arc_fwd)
     if (len(choice) - 1) % 2 != (v_side != w_side):
         choice = full_path(arc_bwd)
-    assign_alternating(choice, not v_side)
+    return choice, not v_side
 
 
 def _attachment_path(g, sources: int, allowed: int, assigned: int) -> list[int] | None:
@@ -328,21 +269,28 @@ def _attachment_path(g, sources: int, allowed: int, assigned: int) -> list[int] 
 def witness_delta3(g: Graph) -> WitnessReport:
     """Guaranteed construction for connected graphs with min degree >= 3.
 
-    With a cut vertex, fill everything outside its smallest branch.
-    Otherwise fill the larger side of the left/right partition (route
-    "algo1-even").  Both routes guarantee ceil(n/2) = floor((n+1)/2).
+    With a cut vertex, take the lowest one, v, and fill every vertex
+    outside the smallest component of g - v, v included (route
+    "cut-vertex").  When v has a single neighbor w inside that component
+    the set forces w and nothing else; the closure is then the stalled set
+    the size guarantee refers to.  Otherwise fill the larger side of the
+    left/right partition (route "algo1-even").  Both routes guarantee
+    ceil(n/2) = floor((n+1)/2).  Raises ValueError when g has a vertex of
+    degree below 3, and (from cut_vertices) when g is disconnected.
     """
-    cuts = _delta3_cut_vertices(g)
+    if g.min_degree() < 3:
+        raise ValueError("construction needs minimum degree 3")
+    cuts = cut_vertices(g)
     if cuts:
-        return _cut_vertex_report(g, cuts)
-    part = _build_partition(g)
-    fill = part.left if part.left.bit_count() >= part.right.bit_count() else part.right
-    return WitnessReport(
-        n=g.n,
-        filled=fill,
-        route="algo1-even",
-        guaranteed_bound=(g.n + 1) // 2,
-    )
+        v = (cuts & -cuts).bit_length() - 1
+        smallest = components_within(g, g.full ^ (1 << v))[0]
+        fill, route = g.full & ~smallest, "cut-vertex"
+        _require(derived_set(g, fill) != g.full, "cut-vertex fill forced the whole graph")
+    else:
+        left, right = _build_partition(g)
+        fill = left if left.bit_count() >= right.bit_count() else right
+        route = "algo1-even"
+    return WitnessReport(filled=fill, route=route, guaranteed_bound=(g.n + 1) // 2)
 
 
 def witness_general(g: Graph) -> WitnessReport:
@@ -377,13 +325,12 @@ def _general(g: Graph) -> WitnessReport:
     comps = connected_components(g)
     if len(comps) > 1:
         return WitnessReport(
-            n=g.n,
-            filled=g.full ^ comps[0],
+                filled=g.full ^ comps[0],
             route="disconnected",
             guaranteed_bound=(g.n + 1) // 2,
         )
     if g.n <= 2:
-        return WitnessReport(n=g.n, filled=0, route="base", guaranteed_bound=0)
+        return WitnessReport(filled=0, route="base", guaranteed_bound=0)
     dmin = g.min_degree()
     if dmin >= 3:
         return witness_delta3(g)
@@ -409,7 +356,6 @@ def _lift_leaf(g: Graph) -> WitnessReport:
     else:
         fill, tag = lifted | 1 << v | 1 << w, "delta1-b"
     return WitnessReport(
-        n=g.n,
         filled=fill,
         route=f"{tag}({child.route})",
         guaranteed_bound=(g.n - 1) // 2,
@@ -443,7 +389,6 @@ def _lift_contraction(g: Graph) -> WitnessReport:
         else:
             fill, tag = lifted | bv | bx | by, "delta2-case2bii"
     return WitnessReport(
-        n=g.n,
         filled=fill,
         route=f"{tag}({child.route})",
         guaranteed_bound=(g.n - 1) // 2,

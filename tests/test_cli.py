@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from zeroforcing import CensusTable, Finding, GraphRecord, WitnessReport, write_graph6
+from zeroforcing import (
+    CensusTable,
+    ConstructionError,
+    Finding,
+    GraphRecord,
+    WitnessReport,
+    write_graph6,
+)
 from zeroforcing import cli
 from zeroforcing.graph_core import complete_graph, path_graph
 
@@ -119,11 +126,27 @@ def test_witness_structured(capsys):
 
 
 def test_witness_verification_failure_exits_2(monkeypatch, capsys):
-    bogus = WitnessReport(n=3, filled=0b011, route="made-up", guaranteed_bound=1)
+    bogus = WitnessReport(filled=0b011, route="made-up", guaranteed_bound=1)
     monkeypatch.setattr(cli, "witness_general", lambda g: bogus)
     assert run(["witness", "Bg"]) == 2
     out = capsys.readouterr().out
     assert "verified: False" in out
+
+
+def test_construction_failure_names_its_position_and_prints_nothing(monkeypatch, capsys):
+    real = cli.witness_general
+
+    def planted(g):
+        if g.n == 4:
+            raise ConstructionError("planted")
+        return real(g)
+
+    monkeypatch.setattr(cli, "witness_general", planted)
+    for command in ("witness", "analyze"):
+        assert run([command, "Bw", "C~"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "argument 2: construction failed on 'C~': planted\n"
 
 
 def test_census_table(capsys):

@@ -12,7 +12,6 @@ from zeroforcing import (
     cut_vertices,
     cycle_graph,
     find_even_cycle,
-    find_odd_cycle,
     from_edges,
     induced_subgraph,
     is_connected,
@@ -22,7 +21,7 @@ from zeroforcing import (
     petersen_graph,
     vertices_of,
 )
-from zeroforcing.graph_core import components_within
+from zeroforcing.graph_core import _fundamental_cycles, components_within
 
 from conftest import random_graph
 from naive import adj_sets, naive_components, naive_cut_vertices
@@ -125,22 +124,26 @@ def _check_cycle(g, vs, want_even):
         assert g.has_edge(a, b)
 
 
+def _first_odd_cycle(g):
+    return next((c for c in _fundamental_cycles(g) if len(c) % 2), None)
+
+
 def test_cycle_finders_known():
     assert find_even_cycle(path_graph(6)) is None
-    assert find_odd_cycle(path_graph(6)) is None
+    assert _first_odd_cycle(path_graph(6)) is None
     assert find_even_cycle(cycle_graph(5)) is None
-    _check_cycle(cycle_graph(5), find_odd_cycle(cycle_graph(5)), want_even=False)
+    _check_cycle(cycle_graph(5), _first_odd_cycle(cycle_graph(5)), want_even=False)
     _check_cycle(cycle_graph(6), find_even_cycle(cycle_graph(6)), want_even=True)
-    assert find_odd_cycle(cycle_graph(6)) is None
-    assert find_odd_cycle(complete_bipartite(3, 4)) is None
+    assert _first_odd_cycle(cycle_graph(6)) is None
+    assert _first_odd_cycle(complete_bipartite(3, 4)) is None
     _check_cycle(complete_graph(4), find_even_cycle(complete_graph(4)), want_even=True)
 
 
 def test_cycle_finders_at_the_vertex_cap():
-    # both finders walk one recursive DFS, as deep as the graph is long
-    assert sorted(find_odd_cycle(cycle_graph(61))) == list(range(61))
+    # the cycle search walks one recursive DFS, as deep as the graph is long
+    assert _fundamental_cycles(cycle_graph(61)) == [tuple(range(61))]
     assert sorted(find_even_cycle(cycle_graph(62))) == list(range(62))
-    assert find_odd_cycle(path_graph(62)) is None
+    assert _fundamental_cycles(path_graph(62)) == []
 
 
 def _has_even_cycle_brute(g):
@@ -181,7 +184,7 @@ def test_odd_cycle_finder_matches_bipartiteness():
     for _ in range(400):
         n = rng.randint(3, 10)
         g = random_graph(rng, n, rng.uniform(0.15, 0.5))
-        found = find_odd_cycle(g)
+        found = _first_odd_cycle(g)
         if found is not None:
             _check_cycle(g, found, want_even=False)
         assert (found is None) == nx.is_bipartite(nx.Graph(g.edges()))

@@ -4,9 +4,7 @@ import pytest
 
 from zeroforcing import (
     ConstructionError,
-    Partition,
     WitnessReport,
-    algo1_partition,
     complete_bipartite,
     complete_graph,
     cut_vertices,
@@ -24,7 +22,6 @@ from zeroforcing import (
     spent_vertices,
     verify_witness,
     vertices_of,
-    witness_cut_vertex,
     witness_delta3,
     witness_general,
     write_graph6,
@@ -40,28 +37,26 @@ def two_cliques_sharing_vertex():
 
 def test_verify_witness_flags_forcing_sets():
     g = path_graph(3)
-    bad = WitnessReport(n=3, filled=mask_of([0]), route="made-up", guaranteed_bound=1)
-    verdict = verify_witness(g, bad)
-    assert not verdict.ok and verdict.failures == ("set forces the whole graph",)
-    good = WitnessReport(n=3, filled=mask_of([1]), route="made-up", guaranteed_bound=1)
-    assert verify_witness(g, good).ok
+    bad = WitnessReport(filled=mask_of([0]), route="made-up", guaranteed_bound=1)
+    assert verify_witness(g, bad) == ("set forces the whole graph",)
+    good = WitnessReport(filled=mask_of([1]), route="made-up", guaranteed_bound=1)
+    assert verify_witness(g, good) == ()
 
 
 def test_verify_witness_flags_small_sets():
     g = path_graph(5)
-    small = WitnessReport(n=5, filled=mask_of([1]), route="made-up", guaranteed_bound=2)
-    verdict = verify_witness(g, small)
-    assert not verdict.ok
-    assert verdict.failures == ("set has 1 vertices, below the bound 2",)
+    small = WitnessReport(filled=mask_of([1]), route="made-up", guaranteed_bound=2)
+    assert verify_witness(g, small) == ("set has 1 vertices, below the bound 2",)
 
 
 def test_cut_vertex_construction():
     g = two_cliques_sharing_vertex()
     assert cut_vertices(g) == mask_of([3])
-    rep = witness_cut_vertex(g)
+    rep = witness_delta3(g)
+    assert rep.route == "cut-vertex"
     assert rep.filled == mask_of([3, 4, 5, 6])
     assert rep.guaranteed_bound == 4
-    assert verify_witness(g, rep).ok
+    assert verify_witness(g, rep) == ()
     assert is_stalled(g, rep.filled)
 
 
@@ -74,42 +69,35 @@ def test_cut_vertex_construction_may_force_once():
     g = from_edges(8, edges)
     for u in (3, 4):
         assert g.degree(u) == 4
-    rep = witness_cut_vertex(g)
+    rep = witness_delta3(g)
+    assert rep.route == "cut-vertex"
     closed = derived_set(g, rep.filled)
     assert closed != g.full
     assert closed == rep.filled | mask_of([3])
-    assert verify_witness(g, rep).ok
-
-
-def test_cut_vertex_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        witness_cut_vertex(complete_graph(5))
-    with pytest.raises(ValueError):
-        witness_cut_vertex(path_graph(5))
+    assert verify_witness(g, rep) == ()
 
 
 def test_partition_check_rejects_overlap():
     g = complete_graph(4)
     with pytest.raises(ConstructionError):
-        Partition(4, mask_of([0, 1]), mask_of([1, 2, 3])).check(g)
+        witness._check_partition(g, mask_of([0, 1]), mask_of([1, 2, 3]))
 
 
 def test_algo1_on_k4():
     g = complete_graph(4)
-    part = algo1_partition(g)
-    part.check(g)
-    assert part.left | part.right == g.full
+    left, right = witness._build_partition(g)
+    witness._check_partition(g, left, right)
+    assert left | right == g.full
 
 
 def test_algo1_on_petersen():
     g = petersen_graph()
-    part = algo1_partition(g)
-    part.check(g)
-    sizes = sorted([part.left.bit_count(), part.right.bit_count()])
-    assert sum(sizes) == 10
+    left, right = witness._build_partition(g)
+    witness._check_partition(g, left, right)
+    assert left.bit_count() + right.bit_count() == 10
     # both sides stall when filled
-    assert is_stalled(g, part.left)
-    assert is_stalled(g, part.right)
+    assert is_stalled(g, left)
+    assert is_stalled(g, right)
 
 
 def test_algo1_odd_residue(monkeypatch):
@@ -137,23 +125,21 @@ def test_algo1_odd_residue(monkeypatch):
     monkeypatch.setattr(witness, "_fundamental_cycles", cycles)
     monkeypatch.setattr(witness, "_even_cycle", even)
     g = parse_graph6("G@ouNo")
-    part = algo1_partition(g)
+    left, right = witness._build_partition(g)
     assert None in evens
     assert passes == residues
-    part.check(g)
-    assert is_stalled(g, part.left)
-    assert is_stalled(g, part.right)
+    witness._check_partition(g, left, right)
+    assert is_stalled(g, left)
+    assert is_stalled(g, right)
 
 
-def test_algo1_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        algo1_partition(path_graph(5))
-    with pytest.raises(ValueError):
-        algo1_partition(two_cliques_sharing_vertex())
+def test_delta3_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="minimum degree 3"):
+        witness_delta3(path_graph(5))
     disconnected = from_edges(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
                               + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)])
-    with pytest.raises(ValueError):
-        algo1_partition(disconnected)
+    with pytest.raises(ValueError, match="connected"):
+        witness_delta3(disconnected)
 
 
 def test_delta3_routes():
@@ -171,7 +157,7 @@ def test_general_path7():
     assert rep.filled == mask_of([1, 3, 5])
     assert rep.route == "delta1-a(delta1-a(delta1-a(base)))"
     assert rep.guaranteed_bound == 3
-    assert verify_witness(g, rep).ok
+    assert verify_witness(g, rep) == ()
 
 
 def test_general_tiny_and_disconnected():
@@ -198,7 +184,7 @@ def test_general_known_routes():
         assert rep.route == route, name
         if expect is not None:
             assert rep.filled == expect, name
-        assert verify_witness(g, rep).ok, name
+        assert verify_witness(g, rep) == (), name
 
 
 def test_general_returns_literally_stalled_sets():
@@ -219,7 +205,7 @@ def test_broken_lift_fails_loudly(monkeypatch, capsys):
     # by some other set
     def forcing_lift(g):
         leaf = next(u for u in range(g.n) if g.degree(u) == 1)
-        return WitnessReport(n=g.n, filled=1 << leaf, route="broken",
+        return WitnessReport(filled=1 << leaf, route="broken",
                              guaranteed_bound=(g.n - 1) // 2)
 
     monkeypatch.setattr(witness, "_lift_leaf", forcing_lift)
@@ -236,7 +222,7 @@ def test_missing_even_cycle_fails_loudly(monkeypatch, capsys):
     # None must raise, never fall back to another seed
     monkeypatch.setattr(witness, "find_even_cycle", lambda g: None)
     with pytest.raises(ConstructionError):
-        algo1_partition(complete_graph(4))
+        witness_delta3(complete_graph(4))
     assert cli.main(["witness", "C~"]) == 2
     assert "construction failed" in capsys.readouterr().err
 
@@ -252,7 +238,7 @@ def test_general_verified_on_random_connected_graphs():
         perm = rng.sample(range(n), n)
         g = from_edges(n, [(perm[u], perm[v]) for u, v in edges])
         rep = witness_general(g)
-        assert verify_witness(g, rep).ok, write_graph6(g)
+        assert verify_witness(g, rep) == (), write_graph6(g)
         assert rep.filled.bit_count() >= (n - 1) // 2
 
 
@@ -262,7 +248,7 @@ def test_general_exhaustive_small():
             if not is_connected(g):
                 continue
             rep = witness_general(g)
-            assert verify_witness(g, rep).ok
+            assert verify_witness(g, rep) == ()
             exact = failed_zero_forcing_number(g).value
             assert rep.filled.bit_count() <= exact
             assert rep.guaranteed_bound >= (n - 1) // 2 or n <= 2
@@ -274,8 +260,9 @@ def test_partition_fill_survives_edge_additions():
     # an unspent stalled fill keeps stalling as edges arrive
     rng = random.Random(83)
     g = petersen_graph()
-    part = algo1_partition(g)
-    fill = part.left if part.left.bit_count() >= part.right.bit_count() else part.right
+    rep = witness_delta3(g)
+    assert rep.route == "algo1-even"
+    fill = rep.filled
     assert spent_vertices(g, fill) == 0
     h = g
     non_edges = [(u, v) for u in range(10) for v in range(u + 1, 10)
