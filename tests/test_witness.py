@@ -133,13 +133,23 @@ def test_algo1_odd_residue(monkeypatch):
     assert is_stalled(g, right)
 
 
-def test_delta3_rejects_bad_inputs():
+def test_algo1_rejects_bad_inputs():
     with pytest.raises(ValueError, match="minimum degree 3"):
         witness_delta3(path_graph(5))
     disconnected = from_edges(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
                               + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)])
     with pytest.raises(ValueError, match="connected"):
         witness_delta3(disconnected)
+    # a graph with a cut vertex never reaches the Algorithm 1 partition
+    assert witness_delta3(two_cliques_sharing_vertex()).route == "cut-vertex"
+
+
+def test_cut_vertex_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="minimum degree 3"):
+        witness_delta3(path_graph(5))
+    # without a cut vertex the cut-vertex route is not taken
+    assert cut_vertices(complete_graph(5)) == 0
+    assert witness_delta3(complete_graph(5)).route == "algo1-even"
 
 
 def test_delta3_routes():
