@@ -38,9 +38,7 @@ from .graph_core import (
     complete_graph,
     condense_path,
     connected_components,
-    cut_vertices,
     cycle_graph,
-    find_even_cycle,
     from_edges,
     induced_subgraph,
     is_connected,
@@ -77,11 +75,9 @@ __all__ = [
     "complete_graph",
     "condense_path",
     "connected_components",
-    "cut_vertices",
     "cycle_graph",
     "derived_set",
     "failed_zero_forcing_number",
-    "find_even_cycle",
     "from_edges",
     "generate_graphs",
     "induced_subgraph",

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .exact import failed_zero_forcing_number, zero_forcing_number
-from .graph6_io import Graph6Error, parse_graph6, read_stream, write_graph6
+from .graph6_io import Graph6Error, read_stream, write_graph6
 from .graph_core import Graph, is_connected
 
 CANON_MAX = 16
@@ -428,18 +428,17 @@ class CensusTable:
 # Running a census.
 
 
-def _evaluate(graph6: str) -> GraphRecord:
-    g = parse_graph6(graph6)
+def _evaluate(g: Graph) -> GraphRecord:
     zero = zero_forcing_number(g).value
     failed = failed_zero_forcing_number(g).value
-    return GraphRecord(graph6, g.n, zero, failed)
+    return GraphRecord(write_graph6(g), g.n, zero, failed)
 
 
-def _connected_graph6_stream(n: int, source: str | None) -> Iterator[str]:
+def _connected_stream(n: int, source: str | None) -> Iterator[Graph]:
     if source is None:
         for g in generate_graphs(n):
             if is_connected(g):
-                yield write_graph6(g)
+                yield g
         return
     first_line: dict[bytes, int] = {}
     try:
@@ -454,7 +453,7 @@ def _connected_graph6_stream(n: int, source: str | None) -> Iterator[str]:
                 first = first_line.setdefault(canonical_form(g), lineno)
                 if first != lineno:
                     raise Graph6Error(f"same class as line {first}", lineno)
-                yield write_graph6(g)
+                yield g
     except ValueError as exc:
         exc.args = (f"{source}: {exc}",)  # name the file; a Graph6Error keeps .line
         raise
@@ -494,7 +493,7 @@ def run_census(
         for n in range(1, max_n + 1):
             source = sources.get(n)
             table.sources[n] = source if source is not None else "builtin"
-            stream = _connected_graph6_stream(n, source)
+            stream = _connected_stream(n, source)
             if pool is None:
                 records = map(_evaluate, stream)
             else:

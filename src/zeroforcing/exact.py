@@ -26,15 +26,11 @@ class ExactCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class ExactResult:
-    """An exact value plus one witnessing vertex mask.
-
-    kind "zero" carries a minimum zero forcing set; kind "failed" carries a
-    maximum failed (non-forcing) set.
-    """
+    """An exact value plus one witnessing vertex mask: a minimum zero
+    forcing set, or a maximum failed (non-forcing) set."""
 
     value: int
     witness: int
-    kind: str
 
 
 def size_k_subsets(n: int, k: int) -> Iterator[int]:
@@ -67,7 +63,7 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
     for k in range(1, g.n + 1):
         for s in size_k_subsets(g.n, k):
             if _derived(adj, full, s) == full:
-                return ExactResult(k, s, "zero")
+                return ExactResult(k, s)
     raise AssertionError("the full vertex set always forces")
 
 
@@ -78,5 +74,5 @@ def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactR
     for k in range(g.n - 1, -1, -1):
         for s in size_k_subsets(g.n, k):
             if _derived(adj, full, s) != full:
-                return ExactResult(k, s, "failed")
+                return ExactResult(k, s)
     raise AssertionError("the empty set never forces a nonempty graph")

@@ -152,69 +152,55 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def cut_vertices(g: Graph) -> int:
-    """Bitmask of articulation vertices.
+def _dfs(g: Graph) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
+    """One depth-first walk of the whole graph, roots and neighbors ascending.
 
-    Rejects disconnected input: the depth-first search from vertex 0 must
-    reach every vertex.
-    """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    state = {"time": 0, "cuts": 0}
-
-    def walk(v: int, parent: int) -> None:
-        disc[v] = low[v] = state["time"]
-        state["time"] += 1
-        children = 0
-        for u in iter_bits(g.adj[v]):
-            if disc[u] == -1:
-                children += 1
-                walk(u, v)
-                low[v] = min(low[v], low[u])
-                if parent != -1 and low[u] >= disc[v]:
-                    state["cuts"] |= 1 << v
-            elif u != parent:
-                low[v] = min(low[v], disc[u])
-        if parent == -1 and children > 1:
-            state["cuts"] |= 1 << v
-
-    walk(0, -1)
-    if -1 in disc:
-        raise ValueError("cut vertices are only defined here for connected graphs")
-    return state["cuts"]
-
-
-def _fundamental_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """Fundamental cycles of a DFS forest, in back-edge discovery order.
-
-    Each cycle is listed from the ancestor endpoint of its back edge down
-    the tree path to the descendant endpoint.
+    Returns each vertex's tree parent (-1 at a root) and depth, the back
+    edges as (descendant, ancestor) pairs in discovery order, and the mask
+    of cut vertices.  A back edge (v, u) closes the fundamental cycle from
+    u down the tree to v, of length depth[v] - depth[u] + 1.  Low-links are
+    taken over depths rather than discovery times: a back edge only reaches
+    an ancestor, and along one root path depth order is discovery order.
     """
     parent = [-1] * g.n
-    depth = [0] * g.n
-    seen = [False] * g.n
-    cycles: list[tuple[int, ...]] = []
+    depth = [-1] * g.n
+    low = [0] * g.n
+    back: list[tuple[int, int]] = []
+    cuts = 0
 
     def walk(v: int) -> None:
-        seen[v] = True
+        nonlocal cuts
+        low[v] = depth[v]
+        children = 0
         for u in iter_bits(g.adj[v]):
-            if not seen[u]:
+            if depth[u] == -1:
                 parent[u] = v
                 depth[u] = depth[v] + 1
                 walk(u)
+                children += 1
+                low[v] = min(low[v], low[u])
+                if low[u] >= depth[v] and (parent[v] != -1 or children > 1):
+                    cuts |= 1 << v
             elif u != parent[v] and depth[u] < depth[v]:
-                path = [v]
-                t = v
-                while t != u:
-                    t = parent[t]
-                    path.append(t)
-                path.reverse()
-                cycles.append(tuple(path))
+                back.append((v, u))
+                low[v] = min(low[v], depth[u])
 
     for root in range(g.n):
-        if not seen[root]:
+        if depth[root] == -1:
+            depth[root] = 0
             walk(root)
-    return cycles
+    return parent, depth, back, cuts
+
+
+def _tree_cycle(parent: list[int], v: int, u: int) -> tuple[int, ...]:
+    """The fundamental cycle of back edge (v, u), from the ancestor u down
+    the tree path to the descendant v."""
+    path = [v]
+    while v != u:
+        v = parent[v]
+        path.append(v)
+    path.reverse()
+    return tuple(path)
 
 
 def _cycle_edges(path: tuple[int, ...]) -> frozenset[tuple[int, int]]:
@@ -248,25 +234,28 @@ def _as_single_cycle(edges: frozenset[tuple[int, int]]) -> tuple[int, ...] | Non
     return tuple(walk)
 
 
-def find_even_cycle(g: Graph) -> tuple[int, ...] | None:
-    """The vertices of an even-length cycle if the graph has one.
+def _even_cycle(
+    parent: list[int], depth: list[int], back: list[tuple[int, int]]
+) -> tuple[int, ...] | None:
+    """The vertices of an even cycle of a walked graph, or None when it has
+    none; None also means every fundamental cycle of the walk is odd.
 
-    Checks the DFS fundamental cycles first; when those are all odd, any
-    even cycle must be the symmetric difference of two odd fundamental
-    cycles that share an edge, so scanning the pairs is complete.
+    The first even fundamental cycle wins; parity is read from the depths.
+    When all of them are odd, scanning pairs that share an edge is complete.
+    Each fundamental cycle is a back edge closing a vertical tree path, and
+    two vertical paths meet in one vertical path, so two fundamental cycles
+    of lengths L1 and L2 that share edges XOR into one cycle of length
+    L1 + L2 - 2 * shared, which is even.  If no two share an edge, every
+    cycle of the graph is a fundamental cycle, hence odd: a cycle is the
+    XOR of fundamental cycles, the XOR of edge-disjoint cycles is their
+    union, and no proper part of a cycle's edges holds a cycle.
     """
-    return _even_cycle(_fundamental_cycles(g))
-
-
-def _even_cycle(cycles: list[tuple[int, ...]]) -> tuple[int, ...] | None:
-    """find_even_cycle's scan of a graph's DFS fundamental cycles; when it
-    returns None, every fundamental cycle is odd."""
-    for path in cycles:
-        if len(path) % 2 == 0:
-            return path
-    edge_sets = [_cycle_edges(path) for path in cycles]
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
+    for v, u in back:
+        if (depth[v] - depth[u]) % 2:
+            return _tree_cycle(parent, v, u)
+    edge_sets = [_cycle_edges(_tree_cycle(parent, v, u)) for v, u in back]
+    for i in range(len(edge_sets)):
+        for j in range(i + 1, len(edge_sets)):
             if not edge_sets[i] & edge_sets[j]:
                 continue
             walk = _as_single_cycle(edge_sets[i] ^ edge_sets[j])

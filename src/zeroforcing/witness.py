@@ -18,13 +18,12 @@ from dataclasses import dataclass, replace
 from .forcing import derived_set
 from .graph_core import (
     Graph,
+    _dfs,
     _even_cycle,
-    _fundamental_cycles,
+    _tree_cycle,
     components_within,
     condense_path,
     connected_components,
-    cut_vertices,
-    find_even_cycle,
     induced_subgraph,
     iter_bits,
     mask_of,
@@ -98,10 +97,10 @@ def _check_partition(g: Graph, left: int, right: int) -> None:
         )
 
 
-def _build_partition(g: Graph) -> tuple[int, int]:
+def _build_partition(g: Graph, seed: tuple[int, ...] | None) -> tuple[int, int]:
     """Left/right partition for connected, 2-connected, min degree 3.
 
-    Seeds from an even cycle, which every graph with minimum degree 3 has:
+    Seeds from the given even cycle, which every graph with min degree 3 has:
     the neighbors of the first vertex v0 of a longest path v0 ... vk all lie
     on the path, among them v1, vi and vj with 1 < i < j.  The cycles
     v0 ... vi, v0 ... vj and v0 vi ... vj have lengths i+1, j+1 and j-i+2,
@@ -115,7 +114,6 @@ def _build_partition(g: Graph) -> tuple[int, int]:
     along them.  All scans take the lowest qualifying vertex.  Returns
     (left, right).
     """
-    seed = find_even_cycle(g)
     _require(seed is not None, "no even cycle in a graph with min degree 3")
     left = right = 0
     unassigned = g.full
@@ -187,22 +185,22 @@ def _absorb_residue(g, left, right, unassigned) -> tuple[list[int], bool]:
     sub, old = induced_subgraph(g, unassigned)
     _require(sub.min_degree() >= 2, "residue lost minimum degree 2")
 
-    cycles = _fundamental_cycles(sub)
-    even = _even_cycle(cycles)
+    parent, depth, back, _ = _dfs(sub)
+    even = _even_cycle(parent, depth, back)
     if even is not None:
         return [old[u] for u in even], True
 
-    # Every fundamental cycle is odd, so cycles[0] is an odd cycle when the
-    # list is not empty.  Taking the first odd fundamental cycle is complete:
-    # if every fundamental cycle is even, colouring by DFS depth parity is
-    # proper.  A tree edge joins depths one apart, and every other edge of an
-    # undirected DFS joins a vertex to an ancestor, closing a cycle of length
-    # (depth difference + 1); that length is even, so the depths differ by an
-    # odd number, and the graph is bipartite.  A residue with minimum degree
-    # 2 has a cycle, and here no even one, so it is not bipartite and the
-    # list is not empty.
-    _require(bool(cycles), "residue with min degree 2 has no cycle")
-    cycle = [old[u] for u in cycles[0]]
+    # Every fundamental cycle is odd, so the first back edge closes an odd
+    # cycle when there is one.  Taking the first odd fundamental cycle is
+    # complete: if every fundamental cycle is even, colouring by DFS depth
+    # parity is proper.  A tree edge joins depths one apart, and every other
+    # edge of an undirected DFS joins a vertex to an ancestor, closing a
+    # cycle of length (depth difference + 1); that length is even, so the
+    # depths differ by an odd number, and the graph is bipartite.  A residue
+    # with minimum degree 2 has a cycle, and here no even one, so it is not
+    # bipartite and has a back edge.
+    _require(bool(back), "residue with min degree 2 has no cycle")
+    cycle = [old[u] for u in _tree_cycle(parent, *back[0])]
     cycle_mask = mask_of(cycle)
 
     p_path = _attachment_path(g, cycle_mask, unassigned & ~cycle_mask, assigned)
@@ -276,18 +274,20 @@ def witness_delta3(g: Graph) -> WitnessReport:
     the size guarantee refers to.  Otherwise fill the larger side of the
     left/right partition (route "algo1-even").  Both routes guarantee
     ceil(n/2) = floor((n+1)/2).  Raises ValueError when g has a vertex of
-    degree below 3, and (from cut_vertices) when g is disconnected.
+    degree below 3 or is disconnected.
     """
     if g.min_degree() < 3:
         raise ValueError("construction needs minimum degree 3")
-    cuts = cut_vertices(g)
+    parent, depth, back, cuts = _dfs(g)
+    if parent.count(-1) > 1:
+        raise ValueError("construction needs a connected graph")
     if cuts:
         v = (cuts & -cuts).bit_length() - 1
         smallest = components_within(g, g.full ^ (1 << v))[0]
         fill, route = g.full & ~smallest, "cut-vertex"
         _require(derived_set(g, fill) != g.full, "cut-vertex fill forced the whole graph")
     else:
-        left, right = _build_partition(g)
+        left, right = _build_partition(g, _even_cycle(parent, depth, back))
         fill = left if left.bit_count() >= right.bit_count() else right
         route = "algo1-even"
     return WitnessReport(filled=fill, route=route, guaranteed_bound=(g.n + 1) // 2)

@@ -9,9 +9,7 @@ from zeroforcing import (
     complete_graph,
     condense_path,
     connected_components,
-    cut_vertices,
     cycle_graph,
-    find_even_cycle,
     from_edges,
     induced_subgraph,
     is_connected,
@@ -21,10 +19,24 @@ from zeroforcing import (
     petersen_graph,
     vertices_of,
 )
-from zeroforcing.graph_core import _fundamental_cycles, components_within
+from zeroforcing.graph_core import _dfs, _even_cycle, _tree_cycle, components_within
 
 from conftest import random_graph
 from naive import adj_sets, naive_components, naive_cut_vertices
+
+
+def walk_cuts(g):
+    return _dfs(g)[3]
+
+
+def walk_even_cycle(g):
+    parent, depth, back, _ = _dfs(g)
+    return _even_cycle(parent, depth, back)
+
+
+def walk_cycles(g):
+    parent, _, back, _ = _dfs(g)
+    return [_tree_cycle(parent, v, u) for v, u in back]
 
 
 def test_mask_helpers():
@@ -74,7 +86,7 @@ def test_families():
     assert complete_bipartite(2, 3).degrees() == (3, 3, 2, 2, 2)
     p = petersen_graph()
     assert p.n == 10 and p.degrees() == (3,) * 10
-    assert is_connected(p) and not cut_vertices(p)
+    assert is_connected(p) and not walk_cuts(p)
 
 
 def test_components_ordering():
@@ -99,22 +111,34 @@ def test_components_match_naive():
 
 def test_cut_vertices_match_naive():
     rng = random.Random(23)
+    graphs = []
     for _ in range(400):
         n = rng.randint(2, 10)
         g = random_graph(rng, n, rng.uniform(0.2, 0.7))
-        if not is_connected(g):
-            continue
-        assert set(vertices_of(cut_vertices(g))) == naive_cut_vertices(n, adj_sets(g))
+        if is_connected(g):
+            graphs.append(g)
+    # the walk recurses as deep as the graph is long: spanning tree plus
+    # up to n chords, relabelled, up to the vertex cap
+    for _ in range(300):
+        n = rng.randint(11, 62)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+        perm = rng.sample(range(n), n)
+        graphs.append(from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+    for g in graphs:
+        assert set(vertices_of(walk_cuts(g))) == naive_cut_vertices(g.n, adj_sets(g))
 
 
 def test_cut_vertices_known():
-    assert cut_vertices(path_graph(5)) == mask_of([1, 2, 3])
-    assert cut_vertices(cycle_graph(5)) == 0
-    assert cut_vertices(complete_graph(4)) == 0
+    assert walk_cuts(path_graph(5)) == mask_of([1, 2, 3])
+    assert walk_cuts(cycle_graph(5)) == 0
+    assert walk_cuts(complete_graph(4)) == 0
     two_triangles = from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    assert cut_vertices(two_triangles) == mask_of([2])
-    with pytest.raises(ValueError):
-        cut_vertices(from_edges(3, [(0, 1)]))
+    assert walk_cuts(two_triangles) == mask_of([2])
+    # a disconnected graph is walked as a forest, one root per component
+    parent, depth, back, cuts = _dfs(from_edges(4, [(0, 1), (1, 2)]))
+    assert parent == [-1, 0, 1, -1] and depth == [0, 1, 2, 0]
+    assert back == [] and cuts == mask_of([1])
 
 
 def _check_cycle(g, vs, want_even):
@@ -125,25 +149,26 @@ def _check_cycle(g, vs, want_even):
 
 
 def _first_odd_cycle(g):
-    return next((c for c in _fundamental_cycles(g) if len(c) % 2), None)
+    return next((c for c in walk_cycles(g) if len(c) % 2), None)
 
 
 def test_cycle_finders_known():
-    assert find_even_cycle(path_graph(6)) is None
+    assert walk_even_cycle(path_graph(6)) is None
     assert _first_odd_cycle(path_graph(6)) is None
-    assert find_even_cycle(cycle_graph(5)) is None
+    assert walk_even_cycle(cycle_graph(5)) is None
     _check_cycle(cycle_graph(5), _first_odd_cycle(cycle_graph(5)), want_even=False)
-    _check_cycle(cycle_graph(6), find_even_cycle(cycle_graph(6)), want_even=True)
+    _check_cycle(cycle_graph(6), walk_even_cycle(cycle_graph(6)), want_even=True)
     assert _first_odd_cycle(cycle_graph(6)) is None
     assert _first_odd_cycle(complete_bipartite(3, 4)) is None
-    _check_cycle(complete_graph(4), find_even_cycle(complete_graph(4)), want_even=True)
+    _check_cycle(complete_graph(4), walk_even_cycle(complete_graph(4)), want_even=True)
 
 
 def test_cycle_finders_at_the_vertex_cap():
-    # the cycle search walks one recursive DFS, as deep as the graph is long
-    assert _fundamental_cycles(cycle_graph(61)) == [tuple(range(61))]
-    assert sorted(find_even_cycle(cycle_graph(62))) == list(range(62))
-    assert _fundamental_cycles(path_graph(62)) == []
+    # the walk is one recursive DFS, as deep as the graph is long
+    assert walk_cycles(cycle_graph(61)) == [tuple(range(61))]
+    assert sorted(walk_even_cycle(cycle_graph(62))) == list(range(62))
+    assert walk_cycles(path_graph(62)) == []
+    assert walk_cuts(path_graph(62)) == mask_of(range(1, 61))
 
 
 def _has_even_cycle_brute(g):
@@ -171,7 +196,7 @@ def test_even_cycle_finder_is_complete():
             n = rng.randint(*n_range)
             graphs.append(random_graph(rng, n, rng.uniform(*p_range)))
     for g in graphs:
-        found = find_even_cycle(g)
+        found = walk_even_cycle(g)
         if found is not None:
             _check_cycle(g, found, want_even=True)
         if g.min_degree() >= 3:

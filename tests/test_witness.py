@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,7 +9,6 @@ from zeroforcing import (
     WitnessReport,
     complete_bipartite,
     complete_graph,
-    cut_vertices,
     cycle_graph,
     derived_set,
     failed_zero_forcing_number,
@@ -27,6 +28,12 @@ from zeroforcing import (
     write_graph6,
 )
 from zeroforcing import cli, witness
+from zeroforcing.graph_core import _dfs, _even_cycle
+
+
+def build_partition(g):
+    parent, depth, back, _ = _dfs(g)
+    return witness._build_partition(g, _even_cycle(parent, depth, back))
 
 
 def two_cliques_sharing_vertex():
@@ -51,7 +58,7 @@ def test_verify_witness_flags_small_sets():
 
 def test_cut_vertex_construction():
     g = two_cliques_sharing_vertex()
-    assert cut_vertices(g) == mask_of([3])
+    assert _dfs(g)[3] == mask_of([3])
     rep = witness_delta3(g)
     assert rep.route == "cut-vertex"
     assert rep.filled == mask_of([3, 4, 5, 6])
@@ -85,14 +92,14 @@ def test_partition_check_rejects_overlap():
 
 def test_algo1_on_k4():
     g = complete_graph(4)
-    left, right = witness._build_partition(g)
+    left, right = build_partition(g)
     witness._check_partition(g, left, right)
     assert left | right == g.full
 
 
 def test_algo1_on_petersen():
     g = petersen_graph()
-    left, right = witness._build_partition(g)
+    left, right = build_partition(g)
     witness._check_partition(g, left, right)
     assert left.bit_count() + right.bit_count() == 10
     # both sides stall when filled
@@ -102,32 +109,36 @@ def test_algo1_on_petersen():
 
 def test_algo1_odd_residue(monkeypatch):
     # G@ouNo is the first n = 8 class whose case-4 residue has only odd
-    # cycles, so the partition must take the odd-cycle route; one DFS pass
-    # over each residue serves both the even and the odd cycle
+    # cycles, so the partition must take the odd-cycle route; one walk of
+    # the graph and one of each residue serve both the even and the odd cycle
     residues, passes, evens = [], [], []
-    real_induced, real_cycles, real_even = (
-        witness.induced_subgraph, witness._fundamental_cycles, witness._even_cycle)
+    real_induced, real_dfs, real_even = (
+        witness.induced_subgraph, witness._dfs, witness._even_cycle)
 
     def induced(g, keep):
         out = real_induced(g, keep)
         residues.append(out[0])
         return out
 
-    def cycles(g):
+    def dfs(g):
         passes.append(g)
-        return real_cycles(g)
+        return real_dfs(g)
 
-    def even(found):
-        evens.append(real_even(found))
+    def even(parent, depth, back):
+        evens.append(real_even(parent, depth, back))
         return evens[-1]
 
     monkeypatch.setattr(witness, "induced_subgraph", induced)
-    monkeypatch.setattr(witness, "_fundamental_cycles", cycles)
+    monkeypatch.setattr(witness, "_dfs", dfs)
     monkeypatch.setattr(witness, "_even_cycle", even)
     g = parse_graph6("G@ouNo")
-    left, right = witness._build_partition(g)
-    assert None in evens
-    assert passes == residues
+    assert g.min_degree() >= 3
+    rep = witness_delta3(g)
+    assert rep.route == "algo1-even"
+    assert residues and None in evens[1:]
+    assert passes == [g] + residues
+    left = rep.filled
+    right = g.full ^ left
     witness._check_partition(g, left, right)
     assert is_stalled(g, left)
     assert is_stalled(g, right)
@@ -148,7 +159,7 @@ def test_cut_vertex_rejects_bad_inputs():
     with pytest.raises(ValueError, match="minimum degree 3"):
         witness_delta3(path_graph(5))
     # without a cut vertex the cut-vertex route is not taken
-    assert cut_vertices(complete_graph(5)) == 0
+    assert _dfs(complete_graph(5))[3] == 0
     assert witness_delta3(complete_graph(5)).route == "algo1-even"
 
 
@@ -230,17 +241,25 @@ def test_broken_lift_fails_loudly(monkeypatch, capsys):
 def test_missing_even_cycle_fails_loudly(monkeypatch, capsys):
     # min degree 3 guarantees an even cycle, so a finder that returns
     # None must raise, never fall back to another seed
-    monkeypatch.setattr(witness, "find_even_cycle", lambda g: None)
+    monkeypatch.setattr(witness, "_even_cycle", lambda parent, depth, back: None)
     with pytest.raises(ConstructionError):
         witness_delta3(complete_graph(4))
     assert cli.main(["witness", "C~"]) == 2
     assert "construction failed" in capsys.readouterr().err
 
 
+# The two digests below pin the construction's output, one row
+# [graph6, route, filled, guaranteed_bound] per graph.  A deliberate change
+# to the construction updates the pin and says why in CHANGES.md.
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def test_general_verified_on_random_connected_graphs():
     # lifts far beyond the exhaustive range: spanning tree plus chords,
     # relabelled, from sparse (deep lift chains) to dense
     rng = random.Random(2202)
+    rows = []
     for _ in range(1000):
         n = rng.randint(3, 62)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
@@ -250,9 +269,13 @@ def test_general_verified_on_random_connected_graphs():
         rep = witness_general(g)
         assert verify_witness(g, rep) == (), write_graph6(g)
         assert rep.filled.bit_count() >= (n - 1) // 2
+        rows.append([write_graph6(g), rep.route, rep.filled, rep.guaranteed_bound])
+    assert _digest(rows) == (
+        "717e2711a5335202d49627867435f87a38a67729d6e07fdc73f050ab745cbe54")
 
 
 def test_general_exhaustive_small():
+    rows = []
     for n in range(1, 8):
         for g in generate_graphs(n):
             if not is_connected(g):
@@ -264,6 +287,10 @@ def test_general_exhaustive_small():
             assert rep.guaranteed_bound >= (n - 1) // 2 or n <= 2
             if g.min_degree() >= 3:
                 assert rep.guaranteed_bound >= (n + 1) // 2
+            rows.append([write_graph6(g), rep.route, rep.filled, rep.guaranteed_bound])
+    assert len(rows) == 996
+    assert _digest(sorted(rows)) == (
+        "d2d9706098b64eec805c725fdb3c8e71c1f2a9fb1053ee8e4366d405d036352a")
 
 
 def test_partition_fill_survives_edge_additions():
