@@ -1,9 +1,9 @@
 """Zero forcing and failed zero forcing on small simple graphs.
 
 The package computes exact zero forcing and failed zero forcing numbers
-by subset search, builds guaranteed large stalled sets constructively,
-reads and writes graph6, and tallies census tables over all connected
-isomorphism classes for small vertex counts.
+(by the wavefront and from forts), builds guaranteed large stalled sets
+constructively, reads and writes graph6, and tallies census tables over
+all connected isomorphism classes for small vertex counts.
 """
 
 from .census import (

@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
     analyze = sub.add_parser("analyze", help="exact numbers and a verified construction")
     analyze.add_argument("graphs", nargs="*", help="graph6 records (default: stdin lines)")
     analyze.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
-                         help="largest n for exhaustive search (default %(default)s)")
+                         help="largest n for the exact Z and F searches (default %(default)s)")
     analyze.add_argument("--format", choices=("table", "structured"), default="table")
 
     witness = sub.add_parser("witness", help="guaranteed failed-set construction only")
@@ -87,7 +87,7 @@ def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
     ok = True
     try:
         zero = zero_forcing_number(g, cap)
-        zero_ok = is_zero_forcing(g, zero.witness)
+        zero_ok = is_zero_forcing(g, zero.witness) and zero.witness.bit_count() == zero.value
         ok &= zero_ok
         doc["zero_forcing"] = {
             "value": zero.value,
@@ -95,7 +95,8 @@ def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
             "verified": zero_ok,
         }
         failed = failed_zero_forcing_number(g, cap)
-        failed_ok = derived_set(g, failed.witness) != g.full
+        failed_ok = (derived_set(g, failed.witness) != g.full
+                     and failed.witness.bit_count() == failed.value)
         ok &= failed_ok
         doc["failed_zero_forcing"] = {
             "value": failed.value,

@@ -1,12 +1,20 @@
-"""Exact zero forcing and failed zero forcing numbers by subset search.
+"""Exact zero forcing and failed zero forcing numbers.
 
-The zero forcing number is the minimum size of a forcing set, found by
-checking subset sizes upward (forcing sets are closed under supersets, so
-the first size with a hit is the minimum).  The failed zero forcing number
-is the maximum size of a non-forcing set, found by checking sizes downward
-(failed sets are closed under subsets).  Within a size, subsets are tried
-in ascending bit-pattern order and the first hit wins, so results are
-fully deterministic.
+Both searches return a value and a witness, and the witness is the first
+qualifying subset in ascending bit-pattern order, so results are fully
+deterministic.
+
+The zero forcing number comes from the wavefront of Brimkov, Fast and
+Hicks ("Computational approaches for zero forcing and related problems",
+EJOR 273, 2019): a cheapest-first search over closed sets finds the
+value, and then only subsets of that size are scanned for the witness.
+
+The failed zero forcing number comes from forts (Fetcie, Jacob and
+Saavedra, "The failed zero forcing number of a graph", Involve 8, 2015).
+A fort is a nonempty vertex set T such that no vertex outside T has
+exactly one neighbor in T.  A set fails to force exactly when its
+complement contains a fort, so F = n - (smallest fort size), and a
+branch and bound over forts finds the smallest one.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ EXACT_CAP_DEFAULT = 20
 
 
 class ExactCapExceeded(ValueError):
-    """The graph is too large for exhaustive subset search."""
+    """The graph is too large for the exact searches, whose cost grows
+    exponentially with the vertex count."""
 
 
 @dataclass(frozen=True)
@@ -57,22 +66,131 @@ def _check_cap(g: Graph, cap: int) -> None:
 
 
 def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
-    """Minimum size of a zero forcing set, with the first witness found."""
+    """Minimum size of a zero forcing set, with the first witness found.
+
+    The wavefront keeps the cheapest known cost of each closed set,
+    starting from the closure of the empty set at cost 0, and expands sets
+    in order of cost.  Growing a closed set S by the closed neighborhood
+    N[v] costs |N[v] \\ S| - 1 (fill all of it but one vertex, which v
+    then forces), or 1 when that is 0 (v alone, with no neighbor outside
+    S); the grown set is then closed.  Every step can be paid for by
+    adding that many vertices to a set whose closure is S, so Z is at most
+    the cost at which the whole vertex set is reached, and Brimkov, Fast
+    and Hicks show the two are equal.  The witness is then the first
+    forcing set of size Z in ascending order.
+    """
     _check_cap(g, cap)
     adj, full = g.adj, g.full
-    for k in range(1, g.n + 1):
-        for s in size_k_subsets(g.n, k):
-            if _derived(adj, full, s) == full:
-                return ExactResult(k, s)
-    raise AssertionError("the full vertex set always forces")
+    closed_nbhd = [a | 1 << v for v, a in enumerate(adj)]
+    start = _derived(adj, full, 0)
+    best = {start: 0}
+    buckets: list[list[int]] = [[] for _ in range(g.n + 1)]  # Z <= n
+    buckets[0].append(start)
+    cost = 0
+    while best.get(full) != cost:
+        for s in buckets[cost]:
+            if best[s] != cost:
+                continue  # reached more cheaply after it was queued
+            for nbhd in closed_nbhd:
+                grow = nbhd & ~s
+                if not grow:
+                    continue
+                child_cost = cost + (grow.bit_count() - 1 or 1)
+                if child_cost >= best.get(full, g.n + 1):
+                    continue  # could not lead to a cheaper whole set
+                child = _derived(adj, full, s | grow)
+                if child_cost < best.get(child, child_cost + 1):
+                    best[child] = child_cost
+                    buckets[child_cost].append(child)
+        cost += 1
+    for s in size_k_subsets(g.n, cost):
+        if _derived(adj, full, s) == full:
+            return ExactResult(cost, s)
+    raise AssertionError("the wavefront cost is always reached by some subset")
+
+
+def _is_fort(adj: tuple[int, ...], fort: int, outside: int) -> bool:
+    """No vertex of outside has exactly one neighbor in fort."""
+    while outside:
+        bit = outside & -outside
+        outside ^= bit
+        hit = adj[bit.bit_length() - 1] & fort
+        if hit and not hit & (hit - 1):
+            return False
+    return True
+
+
+def _largest_fort(adj: tuple[int, ...], full: int, cap: int) -> int | None:
+    """The numerically largest fort of at most cap vertices, if any.
+
+    Depth-first search over (inside, outside) decisions.  Each branching
+    node decides its highest undecided vertex, trying inside before
+    outside.  Every fort below the node agrees on the vertices above that
+    one, so the inside branch holds only larger forts than the outside
+    branch, and forts are met in descending numeric order.
+
+    Each node first settles what its excluded vertices imply.  An
+    excluded vertex u with one neighbor inside and none undecided breaks
+    the fort; with one inside and one undecided, that neighbor must join;
+    with none inside and one undecided, that neighbor must stay out, as
+    joining would leave u with exactly one inside.  These are the only
+    ways to extend the node to a fort, so no fort is skipped.  Only the
+    excluded vertices in dirty, whose neighborhoods changed, are
+    examined, and each decision marks the ones it touches.
+
+    A node whose fort has reached cap vertices is a leaf: the rest of the
+    vertices stay outside, and one fort test decides it.
+    """
+    def search(inside: int, outside: int, dirty: int) -> int | None:
+        while dirty:
+            bit = dirty & -dirty
+            dirty ^= bit
+            nbrs = adj[bit.bit_length() - 1]
+            hit = nbrs & inside
+            if hit & (hit - 1):
+                continue  # two or more inside: u is satisfied for good
+            open_ = nbrs & ~(inside | outside)
+            if open_ & (open_ - 1):
+                continue
+            if hit:
+                if not open_:
+                    return None
+                inside |= open_
+                dirty |= adj[open_.bit_length() - 1] & outside
+            elif open_:
+                outside |= open_
+                dirty |= adj[open_.bit_length() - 1] & outside | open_
+        size = inside.bit_count()
+        if size > cap:
+            return None
+        undecided = full & ~(inside | outside)
+        if size == cap or not undecided:
+            if inside and _is_fort(adj, inside, full ^ inside):
+                return inside
+            return None
+        bit = 1 << (undecided.bit_length() - 1)
+        touched = adj[bit.bit_length() - 1] & outside
+        return (search(inside | bit, outside, touched)
+                or search(inside, outside | bit, touched | bit))
+
+    return search(0, 0, 0)
 
 
 def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
-    """Maximum size of a non-forcing set, with the first witness found."""
+    """Maximum size of a non-forcing set, with the first witness found.
+
+    A failed set of maximum size is stalled (its closure would otherwise
+    be a larger failed set), and a stalled proper subset is exactly the
+    complement of a fort.  So F = n - m for the smallest fort size m, and
+    the failed sets of size F are the complements of the forts of size m.
+    Complementing reverses numeric order, so the first of them in
+    ascending order is the complement of the numerically largest fort of
+    size m, which `_largest_fort` returns at the first m with a fort.
+    """
     _check_cap(g, cap)
     adj, full = g.adj, g.full
-    for k in range(g.n - 1, -1, -1):
-        for s in size_k_subsets(g.n, k):
-            if _derived(adj, full, s) != full:
-                return ExactResult(k, s)
-    raise AssertionError("the empty set never forces a nonempty graph")
+    for m in range(1, g.n + 1):
+        fort = _largest_fort(adj, full, m)
+        if fort is not None:
+            return ExactResult(g.n - m, full ^ fort)
+    raise AssertionError("the whole vertex set is a fort")

@@ -64,6 +64,50 @@ def naive_zero_number(adj: list[set[int]]) -> tuple[int, set[int]]:
     raise AssertionError("the full vertex set failed to force itself")
 
 
+def _in_mask_order(n: int, k: int) -> list[tuple[int, ...]]:
+    """All k-subsets of range(n) in ascending order of their bitmasks.
+
+    For subsets of one size, comparing masks is comparing the vertex
+    tuples from the highest vertex down, so no masks are built.
+    """
+    return sorted(itertools.combinations(range(n), k),
+                  key=lambda combo: combo[::-1])
+
+
+def naive_first_zero(adj: list[set[int]]) -> tuple[int, tuple[int, ...]]:
+    """Smallest forcing set, the first of its size in ascending mask order."""
+    n = len(adj)
+    full = set(range(n))
+    for k in range(1, n + 1):
+        for combo in _in_mask_order(n, k):
+            if naive_closure(adj, set(combo)) == full:
+                return k, combo
+    raise AssertionError("the full vertex set failed to force itself")
+
+
+def naive_first_failed(adj: list[set[int]]) -> tuple[int, tuple[int, ...]]:
+    """Largest failed set, the first of its size in ascending mask order."""
+    n = len(adj)
+    full = set(range(n))
+    for k in range(n - 1, -1, -1):
+        for combo in _in_mask_order(n, k):
+            if naive_closure(adj, set(combo)) != full:
+                return k, combo
+    raise AssertionError("even the empty set forced everything on n=0?")
+
+
+def naive_min_fort(adj: list[set[int]]) -> int:
+    """Size of the smallest nonempty set T such that no vertex outside T
+    has exactly one neighbor in T."""
+    n = len(adj)
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            fort = set(combo)
+            if all(len(adj[u] & fort) != 1 for u in range(n) if u not in fort):
+                return k
+    raise AssertionError("the whole vertex set is always a fort")
+
+
 def naive_components(n: int, adj: list[set[int]]) -> list[set[int]]:
     seen: set[int] = set()
     out = []

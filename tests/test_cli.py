@@ -6,6 +6,7 @@ import pytest
 from zeroforcing import (
     CensusTable,
     ConstructionError,
+    ExactResult,
     Finding,
     GraphRecord,
     WitnessReport,
@@ -74,6 +75,17 @@ def test_analyze_respects_cap(capsys):
     assert run(["analyze", "--format", "structured", "--exact-cap", "8", text]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "skipped" in doc["zero_forcing"]
+    assert doc["witness"]["verified"] is True
+
+
+def test_analyze_rejects_witnesses_of_the_wrong_size(monkeypatch, capsys):
+    # Each witness passes its closure check but does not have the claimed size.
+    monkeypatch.setattr(cli, "zero_forcing_number", lambda g, cap: ExactResult(1, 0b011))
+    monkeypatch.setattr(cli, "failed_zero_forcing_number", lambda g, cap: ExactResult(1, 0))
+    assert run(["analyze", "--format", "structured", write_graph6(path_graph(3))]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["zero_forcing"]["verified"] is False
+    assert doc["failed_zero_forcing"]["verified"] is False
     assert doc["witness"]["verified"] is True
 
 

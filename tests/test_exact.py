@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,10 +17,19 @@ from zeroforcing import (
     path_graph,
     petersen_graph,
     size_k_subsets,
+    vertices_of,
     zero_forcing_number,
 )
 
-from naive import adj_sets, naive_failed_number, naive_zero_number
+from conftest import random_graph
+from naive import (
+    adj_sets,
+    naive_failed_number,
+    naive_first_failed,
+    naive_first_zero,
+    naive_min_fort,
+    naive_zero_number,
+)
 
 
 def test_size_k_subsets_matches_combinations():
@@ -74,6 +84,53 @@ def test_matches_naive_for_all_small_classes():
             adj = adj_sets(g)
             assert zero_forcing_number(g).value == naive_zero_number(adj)[0]
             assert failed_zero_forcing_number(g).value == naive_failed_number(adj)[0]
+
+
+def _assert_first_witnesses(g):
+    adj = adj_sets(g)
+    z = zero_forcing_number(g)
+    f = failed_zero_forcing_number(g)
+    assert (z.value, vertices_of(z.witness)) == naive_first_zero(adj)
+    assert (f.value, vertices_of(f.witness)) == naive_first_failed(adj)
+
+
+def test_witnesses_match_naive_first_subsets():
+    for n in range(1, 8):
+        for g in generate_graphs(n):
+            if is_connected(g):
+                _assert_first_witnesses(g)
+
+
+def test_witnesses_match_naive_first_subsets_on_random_graphs():
+    rng = random.Random(41)
+    disconnected = 0
+    for i in range(60):
+        n = rng.randint(9, 12)
+        p = rng.uniform(0.1, 0.3) if i % 2 else rng.uniform(0.5, 0.85)
+        g = random_graph(rng, n, p)
+        disconnected += not is_connected(g)
+        _assert_first_witnesses(g)
+    assert disconnected >= 5  # sanity: the sparse draws split up
+
+
+def test_failed_number_is_n_minus_smallest_fort():
+    for n in range(1, 8):
+        for g in generate_graphs(n):
+            assert failed_zero_forcing_number(g).value == n - naive_min_fort(adj_sets(g))
+
+
+@pytest.mark.parametrize("g, z, f", [
+    (complete_graph(20), 19, 18),
+    (cycle_graph(20), 2, 10),
+    (path_graph(20), 1, 9),
+    (complete_bipartite(10, 10), 18, 18),
+], ids=["K20", "C20", "P20", "K10,10"])
+def test_numbers_at_the_vertex_cap(g, z, f):
+    zero = zero_forcing_number(g)
+    failed = failed_zero_forcing_number(g)
+    assert (zero.value, failed.value) == (z, f)
+    assert zero.witness.bit_count() == z and derived_set(g, zero.witness) == g.full
+    assert failed.witness.bit_count() == f and derived_set(g, failed.witness) != g.full
 
 
 def test_cap_enforced():
