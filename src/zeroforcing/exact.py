@@ -14,7 +14,7 @@ Saavedra, "The failed zero forcing number of a graph", Involve 8, 2015).
 A fort is a nonempty vertex set T such that no vertex outside T has
 exactly one neighbor in T.  A set fails to force exactly when its
 complement contains a fort, so F = n - (smallest fort size), and a
-branch and bound over forts finds the smallest one.
+depth-first search over forts of growing size finds the smallest one.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def _largest_fort(adj: tuple[int, ...], full: int, cap: int) -> int | None:
     excluded vertex u with one neighbor inside and none undecided breaks
     the fort; with one inside and one undecided, that neighbor must join;
     with none inside and one undecided, that neighbor must stay out, as
-    joining would leave u with exactly one inside.  These are the only
-    ways to extend the node to a fort, so no fort is skipped.  Only the
+    joining would leave u with exactly one inside.  Every fort below the
+    node makes the same choices, so settling skips no fort.  Only the
     excluded vertices in dirty, whose neighborhoods changed, are
     examined, and each decision marks the ones it touches.
 

@@ -40,30 +40,6 @@ def naive_closure_random(adj: list[set[int]], filled: set[int], rng) -> set[int]
         filled.add((adj[v] - filled).pop())
 
 
-def naive_failed_number(adj: list[set[int]]) -> tuple[int, set[int]]:
-    """Largest set whose closure misses a vertex, by descending search."""
-    n = len(adj)
-    full = set(range(n))
-    for k in range(n - 1, -1, -1):
-        for combo in itertools.combinations(range(n), k):
-            s = set(combo)
-            if naive_closure(adj, s) != full:
-                return k, s
-    raise AssertionError("even the empty set forced everything on n=0?")
-
-
-def naive_zero_number(adj: list[set[int]]) -> tuple[int, set[int]]:
-    """Smallest set whose closure is everything, by ascending search."""
-    n = len(adj)
-    full = set(range(n))
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            s = set(combo)
-            if naive_closure(adj, s) == full:
-                return k, s
-    raise AssertionError("the full vertex set failed to force itself")
-
-
 def _in_mask_order(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of range(n) in ascending order of their bitmasks.
 
