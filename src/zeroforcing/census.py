@@ -319,6 +319,16 @@ def check_record(record: GraphRecord) -> list[Finding]:
                 f"failed number {record.failed} above n - 2 = {record.n - 2}",
             )
         )
+    if record.zero > record.failed + 1:
+        # every set of F + 1 vertices forces, so Z <= F + 1
+        out.append(
+            Finding(
+                "zero-bound",
+                record.graph6,
+                record.n,
+                f"zero forcing number {record.zero} above F + 1 = {record.failed + 1}",
+            )
+        )
     if record.failed == record.zero and record.n > record.failed + 4:
         out.append(
             Finding(

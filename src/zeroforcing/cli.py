@@ -84,29 +84,35 @@ def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
         "max_degree": g.max_degree(),
         "connected": is_connected(g),
     }
-    ok = True
+    witness = _witness_block(g)
+    ok = witness["verified"]
     try:
         zero = zero_forcing_number(g, cap)
-        zero_ok = is_zero_forcing(g, zero.witness) and zero.witness.bit_count() == zero.value
-        ok &= zero_ok
+        failed = failed_zero_forcing_number(g, cap)
+    except ExactCapExceeded as exc:
+        doc["zero_forcing"] = doc["failed_zero_forcing"] = {"skipped": str(exc)}
+    else:
+        # Every set of F + 1 vertices forces, so Z <= F + 1, and no failed
+        # set, the construction's included, has more than F vertices.
+        zero_ok = (is_zero_forcing(g, zero.witness)
+                   and zero.witness.bit_count() == zero.value
+                   and zero.value <= failed.value + 1)
+        failed_ok = (derived_set(g, failed.witness) != g.full
+                     and failed.witness.bit_count() == failed.value
+                     and len(witness["set"]) <= failed.value)
+        ok = ok and zero_ok and failed_ok
         doc["zero_forcing"] = {
             "value": zero.value,
             "witness": list(vertices_of(zero.witness)),
             "verified": zero_ok,
         }
-        failed = failed_zero_forcing_number(g, cap)
-        failed_ok = (derived_set(g, failed.witness) != g.full
-                     and failed.witness.bit_count() == failed.value)
-        ok &= failed_ok
         doc["failed_zero_forcing"] = {
             "value": failed.value,
             "witness": list(vertices_of(failed.witness)),
             "verified": failed_ok,
         }
-    except ExactCapExceeded as exc:
-        doc["zero_forcing"] = doc["failed_zero_forcing"] = {"skipped": str(exc)}
-    doc["witness"] = _witness_block(g)
-    return doc, ok and doc["witness"]["verified"]
+    doc["witness"] = witness
+    return doc, ok
 
 
 def _witness_document(graph6: str, g: Graph) -> tuple[dict, bool]:

@@ -4,8 +4,7 @@ Vertices are 0..n-1 with n <= 62, the most a graph6 record holds.  A
 vertex set is a plain int whose bit v is set when vertex v belongs to the
 set; the adjacency of a graph is one such mask per vertex.  Everything
 here treats graphs as immutable values, and every choice a function makes
-(component order, cycle search order, tie-breaks) is deterministic: lowest
-vertex index first.
+(component order, tie-breaks) is deterministic: lowest vertex index first.
 """
 
 from __future__ import annotations
@@ -121,17 +120,9 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def connected_components(g: Graph) -> list[int]:
     """Component bitmasks, ordered by size then by smallest member index."""
-    return components_within(g, g.full)
-
-
-def components_within(g: Graph, keep: int) -> list[int]:
-    """Components of the subgraph induced on a mask, without reindexing.
-
-    Ordered by size, then by smallest member index.
-    """
     comps = []
     seen = 0
-    for v in iter_bits(keep):
+    for v in range(g.n):
         if seen >> v & 1:
             continue
         comp = 1 << v
@@ -140,7 +131,7 @@ def components_within(g: Graph, keep: int) -> list[int]:
             grown = 0
             for u in iter_bits(frontier):
                 grown |= g.adj[u]
-            frontier = grown & keep & ~comp
+            frontier = grown & ~comp
             comp |= frontier
         seen |= comp
         comps.append(comp)
@@ -150,118 +141,6 @@ def components_within(g: Graph, keep: int) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
-
-
-def _dfs(g: Graph) -> tuple[list[int], list[int], list[tuple[int, int]], int]:
-    """One depth-first walk of the whole graph, roots and neighbors ascending.
-
-    Returns each vertex's tree parent (-1 at a root) and depth, the back
-    edges as (descendant, ancestor) pairs in discovery order, and the mask
-    of cut vertices.  A back edge (v, u) closes the fundamental cycle from
-    u down the tree to v, of length depth[v] - depth[u] + 1.  Low-links are
-    taken over depths rather than discovery times: a back edge only reaches
-    an ancestor, and along one root path depth order is discovery order.
-    """
-    parent = [-1] * g.n
-    depth = [-1] * g.n
-    low = [0] * g.n
-    back: list[tuple[int, int]] = []
-    cuts = 0
-
-    def walk(v: int) -> None:
-        nonlocal cuts
-        low[v] = depth[v]
-        children = 0
-        for u in iter_bits(g.adj[v]):
-            if depth[u] == -1:
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                walk(u)
-                children += 1
-                low[v] = min(low[v], low[u])
-                if low[u] >= depth[v] and (parent[v] != -1 or children > 1):
-                    cuts |= 1 << v
-            elif u != parent[v] and depth[u] < depth[v]:
-                back.append((v, u))
-                low[v] = min(low[v], depth[u])
-
-    for root in range(g.n):
-        if depth[root] == -1:
-            depth[root] = 0
-            walk(root)
-    return parent, depth, back, cuts
-
-
-def _tree_cycle(parent: list[int], v: int, u: int) -> tuple[int, ...]:
-    """The fundamental cycle of back edge (v, u), from the ancestor u down
-    the tree path to the descendant v."""
-    path = [v]
-    while v != u:
-        v = parent[v]
-        path.append(v)
-    path.reverse()
-    return tuple(path)
-
-
-def _cycle_edges(path: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    out = set()
-    for i in range(len(path)):
-        u, v = path[i - 1], path[i]
-        out.add((u, v) if u < v else (v, u))
-    return frozenset(out)
-
-
-def _as_single_cycle(edges: frozenset[tuple[int, int]]) -> tuple[int, ...] | None:
-    """Order an edge set into one simple cycle, or report that it is not one."""
-    nbrs: dict[int, list[int]] = {}
-    for u, v in edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    if any(len(vs) != 2 for vs in nbrs.values()):
-        return None
-    start = min(nbrs)
-    walk = [start]
-    prev, cur = -1, start
-    while True:
-        a, b = nbrs[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    if len(walk) != len(nbrs):
-        return None
-    return tuple(walk)
-
-
-def _even_cycle(
-    parent: list[int], depth: list[int], back: list[tuple[int, int]]
-) -> tuple[int, ...] | None:
-    """The vertices of an even cycle of a walked graph, or None when it has
-    none; None also means every fundamental cycle of the walk is odd.
-
-    The first even fundamental cycle wins; parity is read from the depths.
-    When all of them are odd, scanning pairs that share an edge is complete.
-    Each fundamental cycle is a back edge closing a vertical tree path, and
-    two vertical paths meet in one vertical path, so two fundamental cycles
-    of lengths L1 and L2 that share edges XOR into one cycle of length
-    L1 + L2 - 2 * shared, which is even.  If no two share an edge, every
-    cycle of the graph is a fundamental cycle, hence odd: a cycle is the
-    XOR of fundamental cycles, the XOR of edge-disjoint cycles is their
-    union, and no proper part of a cycle's edges holds a cycle.
-    """
-    for v, u in back:
-        if (depth[v] - depth[u]) % 2:
-            return _tree_cycle(parent, v, u)
-    edge_sets = [_cycle_edges(_tree_cycle(parent, v, u)) for v, u in back]
-    for i in range(len(edge_sets)):
-        for j in range(i + 1, len(edge_sets)):
-            if not edge_sets[i] & edge_sets[j]:
-                continue
-            walk = _as_single_cycle(edge_sets[i] ^ edge_sets[j])
-            if walk is not None:
-                return walk
-    return None
 
 
 def _reindex(g: Graph, keep: int) -> tuple[list[int], tuple[int, ...]]:

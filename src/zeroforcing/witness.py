@@ -2,26 +2,21 @@
 
 Each construction returns a WitnessReport: a vertex mask that provably
 fails to force, the structural route that built it, and the size bound
-that route guarantees.  Routes for connected graphs with minimum degree 3
-use either a cut vertex or an alternating left/right partition; lower
-minimum degrees recurse on a smaller graph (deleting a leaf edge, or
-contracting the path around a degree-2 vertex) and lift the result back.
-Every report is re-verified against the forcing rule before it is
-returned, so a broken case analysis fails loudly instead of silently.
+that route guarantees.  Graphs with minimum degree 3 fill the larger side
+of a locally maximal cut; lower minimum degrees recurse on a smaller graph
+(deleting a leaf edge, or contracting the path around a degree-2 vertex)
+and lift the result back.  Every report is re-verified against the forcing
+rule before it is returned, so a broken case analysis fails loudly instead
+of silently.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .forcing import derived_set
 from .graph_core import (
     Graph,
-    _dfs,
-    _even_cycle,
-    _tree_cycle,
-    components_within,
     condense_path,
     connected_components,
     induced_subgraph,
@@ -76,240 +71,56 @@ def verify_witness(g: Graph, report: WitnessReport) -> tuple[str, ...]:
     return tuple(failures)
 
 
-def _check_partition(g: Graph, left: int, right: int) -> None:
-    """Check that left and right split every vertex into two sides.
-
-    Invariant: every left vertex has at least two right neighbors, and
-    every right vertex at least two left neighbors.  Filling either side
-    therefore leaves every filled vertex with two unfilled neighbors.
-    """
-    _require(left & right == 0, "partition sides overlap")
-    _require(left | right == g.full, "partition misses vertices")
-    for v in iter_bits(left):
-        _require(
-            (g.adj[v] & right).bit_count() >= 2,
-            f"left vertex {v} lacks two cross neighbors",
-        )
-    for v in iter_bits(right):
-        _require(
-            (g.adj[v] & left).bit_count() >= 2,
-            f"right vertex {v} lacks two cross neighbors",
-        )
-
-
-def _build_partition(g: Graph, seed: tuple[int, ...] | None) -> tuple[int, int]:
-    """Left/right partition for connected, 2-connected, min degree 3.
-
-    Seeds from the given even cycle, which every graph with min degree 3 has:
-    the neighbors of the first vertex v0 of a longest path v0 ... vk all lie
-    on the path, among them v1, vi and vj with 1 < i < j.  The cycles
-    v0 ... vi, v0 ... vj and v0 vi ... vj have lengths i+1, j+1 and j-i+2,
-    and one of these is even.  A missing seed therefore raises
-    ConstructionError.  Remaining vertices are absorbed by four cases, in
-    priority order: two assigned neighbors toward one side; an escape path
-    when the two assigned neighbors sit on opposite sides; and, when every
-    unassigned vertex touches at most one assigned vertex, a cycle (plus
-    connecting paths) inside the unassigned residue.  Each case returns
-    the vertices it absorbs and the side of the first; the sides alternate
-    along them.  All scans take the lowest qualifying vertex.  Returns
-    (left, right).
-    """
-    _require(seed is not None, "no even cycle in a graph with min degree 3")
-    left = right = 0
-    unassigned = g.full
-    vertices, to_left = seed, True
-    while True:
-        for v in vertices:
-            _require(unassigned >> v & 1, f"vertex {v} assigned twice")
-            if to_left:
-                left |= 1 << v
-            else:
-                right |= 1 << v
-            unassigned ^= 1 << v
-            to_left = not to_left
-        if not unassigned:
-            break
-        vertices, to_left = (
-            _absorb_two_sided(g, left, right, unassigned)
-            or _absorb_split_pair(g, left, right, unassigned)
-            or _absorb_residue(g, left, right, unassigned)
-        )
-    _check_partition(g, left, right)
-    return left, right
-
-
-def _absorb_two_sided(g, left, right, unassigned) -> tuple[list[int], bool] | None:
-    """Cases 1 and 2: a vertex with two neighbors toward one side."""
-    for v in iter_bits(unassigned):
-        if (g.adj[v] & left).bit_count() >= 2:
-            return [v], False
-    for v in iter_bits(unassigned):
-        if (g.adj[v] & right).bit_count() >= 2:
-            return [v], True
-    return None
-
-
-def _absorb_split_pair(g, left, right, unassigned) -> tuple[list[int], bool] | None:
-    """Case 3: exactly two assigned neighbors, one left and one right.
-
-    Walks a shortest path from the vertex through unassigned territory to
-    an assigned anchor (possibly one of the pair, reached again through at
-    least one unassigned interior vertex) and alternates sides from the
-    anchor back.  The anchor is the lowest assigned neighbor of the path's
-    last vertex.  Such a path exists in a 2-connected graph.
-    """
-    assigned = left | right
-    for v in iter_bits(unassigned):
-        pair = g.adj[v] & assigned
-        if pair.bit_count() != 2 or not (pair & left and pair & right):
-            continue
-        path = _attachment_path(g, g.adj[v] & unassigned, unassigned & ~(1 << v), assigned)
-        _require(path is not None, f"no escape path from vertex {v}")
-        anchors = g.adj[path[-1]] & assigned
-        anchor = (anchors & -anchors).bit_length() - 1
-        # the anchor's neighbor takes the anchor's opposite side
-        return path[::-1] + [v], bool(right >> anchor & 1)
-    return None
-
-
-def _absorb_residue(g, left, right, unassigned) -> tuple[list[int], bool]:
-    """Case 4: every unassigned vertex touches at most one assigned vertex.
-
-    The unassigned residue then keeps minimum degree 2 and contains a
-    cycle.  An even cycle is alternated directly.  Otherwise take an odd
-    cycle plus shortest paths to two distinct attachment vertices and
-    alternate along the arc whose parity makes both endpoints land opposite
-    their assigned neighbors.
-    """
-    assigned = left | right
-    sub, old = induced_subgraph(g, unassigned)
-    _require(sub.min_degree() >= 2, "residue lost minimum degree 2")
-
-    parent, depth, back, _ = _dfs(sub)
-    even = _even_cycle(parent, depth, back)
-    if even is not None:
-        return [old[u] for u in even], True
-
-    # Every fundamental cycle is odd, so the first back edge closes an odd
-    # cycle when there is one.  Taking the first odd fundamental cycle is
-    # complete: if every fundamental cycle is even, colouring by DFS depth
-    # parity is proper.  A tree edge joins depths one apart, and every other
-    # edge of an undirected DFS joins a vertex to an ancestor, closing a
-    # cycle of length (depth difference + 1); that length is even, so the
-    # depths differ by an odd number, and the graph is bipartite.  A residue
-    # with minimum degree 2 has a cycle, and here no even one, so it is not
-    # bipartite and has a back edge.
-    _require(bool(back), "residue with min degree 2 has no cycle")
-    cycle = [old[u] for u in _tree_cycle(parent, *back[0])]
-    cycle_mask = mask_of(cycle)
-
-    p_path = _attachment_path(g, cycle_mask, unassigned & ~cycle_mask, assigned)
-    _require(p_path is not None, "no attachment path from the residue cycle")
-    c0 = p_path[0]
-    q_path = _attachment_path(
-        g,
-        cycle_mask ^ (1 << c0),
-        unassigned & ~cycle_mask & ~mask_of(p_path),
-        assigned,
-    )
-    _require(q_path is not None, "no second attachment path from the residue cycle")
-    _require(not set(p_path) & set(q_path), "attachment paths intersect")
-
-    v_end, w_end = p_path[-1], q_path[-1]
-    v_anchor_mask = g.adj[v_end] & assigned
-    w_anchor_mask = g.adj[w_end] & assigned
-    _require(
-        v_anchor_mask.bit_count() == 1 and w_anchor_mask.bit_count() == 1,
-        "residue vertex touches more than one assigned vertex",
-    )
-    v_anchor = v_anchor_mask.bit_length() - 1
-    w_anchor = w_anchor_mask.bit_length() - 1
-
-    rotated = cycle[cycle.index(c0):] + cycle[:cycle.index(c0)]
-    split = rotated.index(q_path[0])
-    arc_fwd = rotated[: split + 1]
-    arc_bwd = [rotated[0]] + rotated[split:][::-1]
-    _require((len(arc_fwd) + len(arc_bwd)) % 2 == 1, "cycle arcs have equal parity")
-
-    def full_path(arc: list[int]) -> list[int]:
-        return p_path[::-1] + arc[1:] + q_path[1:]
-
-    v_side, w_side = bool(left >> v_anchor & 1), bool(left >> w_anchor & 1)
-    choice = full_path(arc_fwd)
-    if (len(choice) - 1) % 2 != (v_side != w_side):
-        choice = full_path(arc_bwd)
-    return choice, not v_side
-
-
-def _attachment_path(g, sources: int, allowed: int, assigned: int) -> list[int] | None:
-    """Shortest path from a source vertex to any vertex with an assigned
-    neighbor, moving only through allowed vertices.  Lowest index wins ties.
-    Returns the path source..goal, or None."""
-    parent: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for s in iter_bits(sources):
-        parent[s] = -1
-        queue.append(s)
-    while queue:
-        cur = queue.popleft()
-        if g.adj[cur] & assigned:
-            path = [cur]
-            while parent[path[-1]] != -1:
-                path.append(parent[path[-1]])
-            return path[::-1]
-        for u in iter_bits(g.adj[cur] & allowed):
-            if u not in parent:
-                parent[u] = cur
-                queue.append(u)
-    return None
-
-
 def witness_delta3(g: Graph) -> WitnessReport:
-    """Guaranteed construction for connected graphs with min degree >= 3.
+    """Stalled set of ceil(n/2) vertices for any graph with min degree >= 3.
 
-    With a cut vertex, take the lowest one, v, and fill every vertex
-    outside the smallest component of g - v, v included (route
-    "cut-vertex").  When v has a single neighbor w inside that component
-    the set forces w and nothing else; the closure is then the stalled set
-    the size guarantee refers to.  Otherwise fill the larger side of the
-    left/right partition (route "algo1-even").  Both routes guarantee
-    ceil(n/2) = floor((n+1)/2).  Raises ValueError when g has a vertex of
-    degree below 3 or is disconnected.
+    Start with every vertex on the right and sweep the vertices in
+    ascending order, moving a vertex to the other side whenever more than
+    half of its neighbors share its side; stop after a sweep with no move.
+    Then fill the larger side, left on a tie (route "local-max-cut"; the
+    cut is locally maximal, not a maximum cut).
+
+    A vertex with a > d/2 of its d neighbors on its own side adds
+    a - (d - a) >= 1 edges to the cut when it moves, so there are at most
+    |E| moves.  At the end every vertex has at least half of its neighbors,
+    so at least 2, across the cut.  Every filled vertex therefore keeps two
+    unfilled neighbors and the larger side stalls with at least ceil(n/2)
+    vertices, connected or not.  Raises ValueError when g has a vertex of
+    degree below 3.
     """
     if g.min_degree() < 3:
         raise ValueError("construction needs minimum degree 3")
-    parent, depth, back, cuts = _dfs(g)
-    if parent.count(-1) > 1:
-        raise ValueError("construction needs a connected graph")
-    if cuts:
-        v = (cuts & -cuts).bit_length() - 1
-        smallest = components_within(g, g.full ^ (1 << v))[0]
-        fill, route = g.full & ~smallest, "cut-vertex"
-        _require(derived_set(g, fill) != g.full, "cut-vertex fill forced the whole graph")
-    else:
-        left, right = _build_partition(g, _even_cycle(parent, depth, back))
-        fill = left if left.bit_count() >= right.bit_count() else right
-        route = "algo1-even"
-    return WitnessReport(filled=fill, route=route, guaranteed_bound=(g.n + 1) // 2)
+    left = 0
+    moved = True
+    while moved:
+        moved = False
+        for v, row in enumerate(g.adj):
+            own = left if left >> v & 1 else g.full & ~left
+            if 2 * (row & own).bit_count() > row.bit_count():
+                left ^= 1 << v
+                moved = True
+    right = g.full & ~left
+    fill = left if left.bit_count() >= right.bit_count() else right
+    return WitnessReport(filled=fill, route="local-max-cut", guaranteed_bound=(g.n + 1) // 2)
 
 
 def witness_general(g: Graph) -> WitnessReport:
     """Stalled set of size >= floor((n-1)/2) for any graph.
 
     Dispatches on structure: keep the smallest component unfilled when
-    disconnected; use the min-degree-3 constructions when possible; with a
+    disconnected; use the min-degree-3 construction when possible; with a
     degree-1 vertex, delete it and its neighbor and recurse; with a
     degree-2 vertex, contract the path through it and recurse, lifting the
-    smaller witness back by one of four cases.  The returned set is always
-    literally stalled (a cut-vertex step's single force is absorbed by
-    taking the closure).  Every recursion level checks that its set stalls
-    and meets both bounds, so a broken lift raises ConstructionError.
+    smaller witness back by one of four cases.  Every route returns a set
+    that is literally stalled, equal to its own closure, and every
+    recursion level checks that and both bounds, so a broken route or lift
+    raises ConstructionError.
     """
     report = _general(g)
-    closed = derived_set(g, report.filled)
-    if closed != report.filled:
-        report = replace(report, filled=closed)
-    _require(closed != g.full, f"route {report.route} did not stall")
+    _require(
+        derived_set(g, report.filled) == report.filled != g.full,
+        f"route {report.route} did not stall",
+    )
     _require(
         report.filled.bit_count() >= report.guaranteed_bound,
         f"route {report.route} missed its guarantee",
@@ -325,7 +136,7 @@ def _general(g: Graph) -> WitnessReport:
     comps = connected_components(g)
     if len(comps) > 1:
         return WitnessReport(
-                filled=g.full ^ comps[0],
+            filled=g.full ^ comps[0],
             route="disconnected",
             guaranteed_bound=(g.n + 1) // 2,
         )

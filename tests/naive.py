@@ -102,21 +102,6 @@ def naive_components(n: int, adj: list[set[int]]) -> list[set[int]]:
     return out
 
 
-def naive_cut_vertices(n: int, adj: list[set[int]]) -> set[int]:
-    """Vertices whose removal increases the component count, by deletion."""
-    base = len(naive_components(n, adj))
-    out = set()
-    for v in range(n):
-        rest = [u for u in range(n) if u != v]
-        relabel = {u: i for i, u in enumerate(rest)}
-        sub = [set() for _ in rest]
-        for u in rest:
-            sub[relabel[u]] = {relabel[w] for w in adj[u] if w != v}
-        if len(naive_components(n - 1, sub)) > base:
-            out.add(v)
-    return out
-
-
 def are_isomorphic(g1, g2) -> bool:
     """Permutation search over package Graphs; fine for n <= 8."""
     if g1.n != g2.n:

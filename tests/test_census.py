@@ -113,6 +113,14 @@ def test_check_record_kinds():
     assert check_record(fine) == []
 
 
+def test_check_record_flags_zero_above_failed_plus_one():
+    planted = GraphRecord(graph6="W", n=5, zero=4, failed=2)
+    (finding,) = check_record(planted)
+    assert finding.kind == "zero-bound"
+    assert finding.detail == "zero forcing number 4 above F + 1 = 3"
+    assert check_record(GraphRecord(graph6="W", n=5, zero=3, failed=2)) == []
+
+
 def test_table_tallies_and_exemplars():
     table = CensusTable(max_n=4, k_max=2)
     table.add(GraphRecord(graph6="Bg", n=3, zero=1, failed=1))

@@ -89,6 +89,30 @@ def test_analyze_rejects_witnesses_of_the_wrong_size(monkeypatch, capsys):
     assert doc["witness"]["verified"] is True
 
 
+def test_analyze_cross_checks_the_exact_values(monkeypatch, capsys):
+    # Each planted value has a witness of its size that passes its closure
+    # check, but contradicts the other numbers.
+    real_zero, real_failed = cli.zero_forcing_number, cli.failed_zero_forcing_number
+    text = write_graph6(path_graph(7))
+    # F = 2 is below the construction's 3 vertices 1 3 5
+    monkeypatch.setattr(cli, "failed_zero_forcing_number", lambda g, cap: ExactResult(2, 0b1010))
+    assert run(["analyze", "--format", "structured", text]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["zero_forcing"]["verified"] is True
+    assert doc["failed_zero_forcing"]["verified"] is False
+    assert doc["witness"]["set"] == [1, 3, 5] and doc["witness"]["verified"] is True
+    # Z = 3 is above F + 1 = 2 on the path on 3 vertices
+    monkeypatch.setattr(cli, "failed_zero_forcing_number", real_failed)
+    monkeypatch.setattr(cli, "zero_forcing_number", lambda g, cap: ExactResult(3, 0b111))
+    assert run(["analyze", "--format", "structured", write_graph6(path_graph(3))]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["zero_forcing"]["verified"] is False
+    assert doc["failed_zero_forcing"] == {"value": 1, "witness": [1], "verified": True}
+    monkeypatch.setattr(cli, "zero_forcing_number", real_zero)
+    assert run(["analyze", text]) == 0
+    assert "verified: False" not in capsys.readouterr().out
+
+
 def test_analyze_bad_graph6(capsys):
     assert run(["analyze", "B"]) == 1
     assert "bad graph6 record" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from zeroforcing import (
     is_connected,
     is_stalled,
     mask_of,
-    parse_graph6,
     path_graph,
     petersen_graph,
     spent_vertices,
@@ -28,18 +27,31 @@ from zeroforcing import (
     write_graph6,
 )
 from zeroforcing import cli, witness
-from zeroforcing.graph_core import _dfs, _even_cycle
-
-
-def build_partition(g):
-    parent, depth, back, _ = _dfs(g)
-    return witness._build_partition(g, _even_cycle(parent, depth, back))
 
 
 def two_cliques_sharing_vertex():
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     edges += [(u, v) for u in range(3, 7) for v in range(u + 1, 7)]
     return from_edges(7, edges)
+
+
+def two_disjoint_cliques():
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)]
+    return from_edges(8, edges)
+
+
+def two_cliques_joined_by_a_bridge():
+    return two_disjoint_cliques().with_edge(3, 4)
+
+
+def assert_local_max_cut(g, rep):
+    assert rep.route == "local-max-cut"
+    assert rep.guaranteed_bound == (g.n + 1) // 2
+    for v in vertices_of(rep.filled):
+        assert (g.adj[v] & ~rep.filled).bit_count() >= 2
+    assert is_stalled(g, rep.filled)
+    assert verify_witness(g, rep) == ()
 
 
 def test_verify_witness_flags_forcing_sets():
@@ -57,119 +69,39 @@ def test_verify_witness_flags_small_sets():
 
 
 def test_cut_vertex_construction():
+    # a cut vertex needs no route of its own, and across a bridge the
+    # set no longer forces the cut vertex's lone outside neighbor
     g = two_cliques_sharing_vertex()
-    assert _dfs(g)[3] == mask_of([3])
     rep = witness_delta3(g)
-    assert rep.route == "cut-vertex"
-    assert rep.filled == mask_of([3, 4, 5, 6])
-    assert rep.guaranteed_bound == 4
-    assert verify_witness(g, rep) == ()
-    assert is_stalled(g, rep.filled)
-
-
-def test_cut_vertex_construction_may_force_once():
-    # a bridge between two cliques: the cut vertex forces its lone
-    # neighbor across the bridge, then stalls
-    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    edges += [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)]
-    edges += [(3, 4)]
-    g = from_edges(8, edges)
-    for u in (3, 4):
-        assert g.degree(u) == 4
-    rep = witness_delta3(g)
-    assert rep.route == "cut-vertex"
-    closed = derived_set(g, rep.filled)
-    assert closed != g.full
-    assert closed == rep.filled | mask_of([3])
-    assert verify_witness(g, rep) == ()
-
-
-def test_partition_check_rejects_overlap():
-    g = complete_graph(4)
-    with pytest.raises(ConstructionError):
-        witness._check_partition(g, mask_of([0, 1]), mask_of([1, 2, 3]))
-
-
-def test_algo1_on_k4():
-    g = complete_graph(4)
-    left, right = build_partition(g)
-    witness._check_partition(g, left, right)
-    assert left | right == g.full
-
-
-def test_algo1_on_petersen():
-    g = petersen_graph()
-    left, right = build_partition(g)
-    witness._check_partition(g, left, right)
-    assert left.bit_count() + right.bit_count() == 10
-    # both sides stall when filled
-    assert is_stalled(g, left)
-    assert is_stalled(g, right)
-
-
-def test_algo1_odd_residue(monkeypatch):
-    # G@ouNo is the first n = 8 class whose case-4 residue has only odd
-    # cycles, so the partition must take the odd-cycle route; one walk of
-    # the graph and one of each residue serve both the even and the odd cycle
-    residues, passes, evens = [], [], []
-    real_induced, real_dfs, real_even = (
-        witness.induced_subgraph, witness._dfs, witness._even_cycle)
-
-    def induced(g, keep):
-        out = real_induced(g, keep)
-        residues.append(out[0])
-        return out
-
-    def dfs(g):
-        passes.append(g)
-        return real_dfs(g)
-
-    def even(parent, depth, back):
-        evens.append(real_even(parent, depth, back))
-        return evens[-1]
-
-    monkeypatch.setattr(witness, "induced_subgraph", induced)
-    monkeypatch.setattr(witness, "_dfs", dfs)
-    monkeypatch.setattr(witness, "_even_cycle", even)
-    g = parse_graph6("G@ouNo")
-    assert g.min_degree() >= 3
-    rep = witness_delta3(g)
-    assert rep.route == "algo1-even"
-    assert residues and None in evens[1:]
-    assert passes == [g] + residues
-    left = rep.filled
-    right = g.full ^ left
-    witness._check_partition(g, left, right)
-    assert is_stalled(g, left)
-    assert is_stalled(g, right)
-
-
-def test_algo1_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="minimum degree 3"):
-        witness_delta3(path_graph(5))
-    disconnected = from_edges(8, [(u, v) for u in range(4) for v in range(u + 1, 4)]
-                              + [(u + 4, v + 4) for u in range(4) for v in range(u + 1, 4)])
-    with pytest.raises(ValueError, match="connected"):
-        witness_delta3(disconnected)
-    # a graph with a cut vertex never reaches the Algorithm 1 partition
-    assert witness_delta3(two_cliques_sharing_vertex()).route == "cut-vertex"
-
-
-def test_cut_vertex_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="minimum degree 3"):
-        witness_delta3(path_graph(5))
-    # without a cut vertex the cut-vertex route is not taken
-    assert _dfs(complete_graph(5))[3] == 0
-    assert witness_delta3(complete_graph(5)).route == "algo1-even"
+    assert_local_max_cut(g, rep)
+    assert rep.filled.bit_count() == 4
+    bridged = two_cliques_joined_by_a_bridge()
+    assert_local_max_cut(bridged, witness_delta3(bridged))
 
 
 def test_delta3_routes():
-    rep = witness_delta3(complete_graph(4))
-    assert rep.route == "algo1-even"
-    assert rep.guaranteed_bound == 2
-    rep = witness_delta3(two_cliques_sharing_vertex())
-    assert rep.route == "cut-vertex"
-    assert rep.guaranteed_bound == 4
+    # a second component needs no route of its own either
+    assert not is_connected(two_disjoint_cliques())
+    for g in (complete_graph(4), complete_graph(5), complete_bipartite(3, 3),
+              petersen_graph(), two_disjoint_cliques()):
+        assert_local_max_cut(g, witness_delta3(g))
+
+
+def test_delta3_on_every_small_class():
+    # every class with n <= 8 and minimum degree 3, connected or not
+    seen = 0
+    for n in range(4, 9):
+        for g in generate_graphs(n):
+            if g.min_degree() >= 3:
+                assert_local_max_cut(g, witness_delta3(g))
+                seen += 1
+    assert seen == 2763
+
+
+def test_delta3_rejects_low_degree():
+    for g in (path_graph(5), cycle_graph(6), complete_bipartite(2, 3)):
+        with pytest.raises(ValueError, match="minimum degree 3"):
+            witness_delta3(g)
 
 
 def test_general_path7():
@@ -197,7 +129,7 @@ def test_general_known_routes():
     cases = {
         "P3": (path_graph(3), "delta1-a(base)", mask_of([1])),
         "C5": (cycle_graph(5), "delta2-case1(delta2-case1(base))", mask_of([0, 2])),
-        "K4": (complete_graph(4), "algo1-even", None),
+        "K4": (complete_graph(4), "local-max-cut", None),
         "K23": (complete_bipartite(2, 3), "delta2-case2bi(delta1-a(base))", mask_of([0, 1])),
     }
     for name, (g, route, expect) in cases.items():
@@ -238,13 +170,18 @@ def test_broken_lift_fails_loudly(monkeypatch, capsys):
     assert "construction failed" in capsys.readouterr().err
 
 
-def test_missing_even_cycle_fails_loudly(monkeypatch, capsys):
-    # min degree 3 guarantees an even cycle, so a finder that returns
-    # None must raise, never fall back to another seed
-    monkeypatch.setattr(witness, "_even_cycle", lambda parent, depth, back: None)
-    with pytest.raises(ConstructionError):
-        witness_delta3(complete_graph(4))
-    assert cli.main(["witness", "C~"]) == 2
+def test_route_that_does_not_stall_fails_loudly(monkeypatch, capsys):
+    # a route whose set forces one vertex and then stalls must raise,
+    # never be replaced by its closure
+    g = two_cliques_joined_by_a_bridge()
+    planted = WitnessReport(filled=mask_of([0, 1, 2, 3]), route="planted",
+                            guaranteed_bound=(g.n + 1) // 2)
+    assert derived_set(g, planted.filled) == mask_of([0, 1, 2, 3, 4])
+    assert verify_witness(g, planted) == ()
+    monkeypatch.setattr(witness, "witness_delta3", lambda g: planted)
+    with pytest.raises(ConstructionError, match="planted did not stall"):
+        witness_general(g)
+    assert cli.main(["witness", write_graph6(g)]) == 2
     assert "construction failed" in capsys.readouterr().err
 
 
@@ -271,7 +208,7 @@ def test_general_verified_on_random_connected_graphs():
         assert rep.filled.bit_count() >= (n - 1) // 2
         rows.append([write_graph6(g), rep.route, rep.filled, rep.guaranteed_bound])
     assert _digest(rows) == (
-        "717e2711a5335202d49627867435f87a38a67729d6e07fdc73f050ab745cbe54")
+        "018f09be570b7c97a8b78c980e103228ad231240cccdd54d842590da2f35c251")
 
 
 def test_general_exhaustive_small():
@@ -290,7 +227,7 @@ def test_general_exhaustive_small():
             rows.append([write_graph6(g), rep.route, rep.filled, rep.guaranteed_bound])
     assert len(rows) == 996
     assert _digest(sorted(rows)) == (
-        "d2d9706098b64eec805c725fdb3c8e71c1f2a9fb1053ee8e4366d405d036352a")
+        "ba55fff9882161a82c449c32153c233cb6fa32090ee22b64c0edf7a08288bf95")
 
 
 def test_partition_fill_survives_edge_additions():
@@ -298,7 +235,7 @@ def test_partition_fill_survives_edge_additions():
     rng = random.Random(83)
     g = petersen_graph()
     rep = witness_delta3(g)
-    assert rep.route == "algo1-even"
+    assert rep.route == "local-max-cut"
     fill = rep.filled
     assert spent_vertices(g, fill) == 0
     h = g
