@@ -69,8 +69,7 @@ def test_verify_witness_flags_small_sets():
 
 
 def test_cut_vertex_construction():
-    # a cut vertex needs no route of its own, and across a bridge the
-    # set no longer forces the cut vertex's lone outside neighbor
+    # a cut vertex or a bridge needs no route of its own
     g = two_cliques_sharing_vertex()
     rep = witness_delta3(g)
     assert_local_max_cut(g, rep)
