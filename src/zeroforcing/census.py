@@ -7,7 +7,8 @@ one a canonical rule would delete from it, so each class comes from one
 parent and duplicates are removed within that parent, with no set of
 every class seen so far.  Canonical forms come from equitable-partition
 refinement on degrees plus backtracking over the refined cells,
-minimizing the packed upper-triangle adjacency bit-string.
+minimizing the packed adjacency string of graph6_io (`_pack_bits`), so
+the canonical form of a graph is the graph6 record of that minimum.
 
 A census walks the connected classes per vertex count, computes the exact
 zero forcing and failed zero forcing numbers of each, tallies them per
@@ -23,8 +24,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .exact import failed_zero_forcing_number, zero_forcing_number
-from .graph6_io import Graph6Error, read_stream, write_graph6
+from .exact import _zero_forcing_value, failed_zero_forcing_number
+from .graph6_io import Graph6Error, _graph6_of_bits, _pack_bits, _unpack_bits
+from .graph6_io import read_stream, write_graph6
 from .graph_core import Graph, is_connected
 
 CANON_MAX = 16
@@ -85,17 +87,6 @@ def _homogeneous(adj: tuple[int, ...], cells: list[int]) -> bool:
     return True
 
 
-def _pack_bits(adj: tuple[int, ...], order: list[int]) -> int:
-    """Upper triangle in column-major order under a vertex order, packed
-    big-endian into an int (same bit layout graph6 uses)."""
-    bits = 0
-    for j in range(1, len(order)):
-        col = order[j]
-        for i in range(j):
-            bits = bits << 1 | (adj[order[i]] >> col & 1)
-    return bits
-
-
 def _cells_order(cells: list[int]) -> list[int]:
     order = []
     for cell in cells:
@@ -108,8 +99,6 @@ def _cells_order(cells: list[int]) -> list[int]:
 
 def _canon_bits(n: int, adj: tuple[int, ...]) -> int:
     """Minimum packed adjacency string over the refinement search tree."""
-    if n == 1:
-        return 0
     by_degree: dict[int, int] = {}
     for v in range(n):
         d = adj[v].bit_count()
@@ -139,27 +128,12 @@ def _canon_bits(n: int, adj: tuple[int, ...]) -> int:
     return best
 
 
-def _adj_of_bits(n: int, bits: int) -> tuple[int, ...]:
-    """Rebuild an adjacency tuple from a packed upper-triangle string."""
-    adj = [0] * n
-    pos = n * (n - 1) // 2 - 1
-    for j in range(1, n):
-        for i in range(j):
-            if bits >> pos & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos -= 1
-    return tuple(adj)
-
-
-def canonical_form(g: Graph) -> bytes:
-    """Canonical form usable as an isomorphism-class key: equal bytes iff
+def canonical_form(g: Graph) -> str:
+    """The graph6 record of the canonical labeling: equal records iff
     isomorphic graphs."""
     if g.n > CANON_MAX:
         raise ValueError(f"canonical labeling capped at {CANON_MAX} vertices")
-    bits = _canon_bits(g.n, g.adj)
-    width = (g.n * (g.n - 1) // 2 + 7) // 8
-    return bytes([g.n]) + bits.to_bytes(width, "big")
+    return _graph6_of_bits(g.n, _canon_bits(g.n, g.adj))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +215,7 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
             if bits in local:
                 continue
             local.add(bits)
-            canon = _adj_of_bits(n, bits)
+            canon = _unpack_bits(n, bits)
             # when v alone holds the largest key, w* is v and C - w* is P
             if tied:
                 canon_keys = _top_keys(canon, size)
@@ -439,7 +413,7 @@ class CensusTable:
 
 
 def _evaluate(g: Graph) -> GraphRecord:
-    zero = zero_forcing_number(g).value
+    zero = _zero_forcing_value(g)
     failed = failed_zero_forcing_number(g).value
     return GraphRecord(write_graph6(g), g.n, zero, failed)
 
@@ -450,7 +424,7 @@ def _connected_stream(n: int, source: str | None) -> Iterator[Graph]:
             if is_connected(g):
                 yield g
         return
-    first_line: dict[bytes, int] = {}
+    first_line: dict[int, int] = {}
     try:
         # latin-1 maps every byte to one character, so parse_graph6 reports
         # a non-ASCII byte with its line instead of the decoder failing.
@@ -460,7 +434,7 @@ def _connected_stream(n: int, source: str | None) -> Iterator[Graph]:
                     raise Graph6Error(f"expected {n} vertices, found {g.n}", lineno)
                 if not is_connected(g):
                     continue
-                first = first_line.setdefault(canonical_form(g), lineno)
+                first = first_line.setdefault(_canon_bits(n, g.adj), lineno)
                 if first != lineno:
                     raise Graph6Error(f"same class as line {first}", lineno)
                 yield g
@@ -480,7 +454,7 @@ def run_census(
     Classes come from built-in generation (n <= 9) unless sources maps an n
     to a newline-delimited graph6 file of n-vertex graphs.  A malformed,
     wrong-size or duplicate connected record raises Graph6Error naming the
-    file and line; a file with n > CANON_MAX raises ValueError.
+    file and line; a file with n > CANON_MAX raises ValueError up front.
     Evaluation parallelizes over graphs with jobs > 1; the output is
     identical for any job count.  Raises ValueError when max_n, k_max or
     jobs is below 1, or when sources maps an n outside 1..max_n.
@@ -492,6 +466,8 @@ def run_census(
     for n, source in sources.items():
         if not 1 <= n <= max_n:
             raise ValueError(f"{source}: input for n={n} is outside 1..max_n={max_n}")
+        if n > CANON_MAX:
+            raise ValueError(f"{source}: input for n={n} is above the labeling cap of {CANON_MAX}")
     for n in range(1, max_n + 1):
         if n > BUILTIN_MAX and n not in sources:
             raise ValueError(f"no built-in generation for n={n}; provide a graph6 source")

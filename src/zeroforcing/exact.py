@@ -65,8 +65,8 @@ def _check_cap(g: Graph, cap: int) -> None:
         )
 
 
-def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
-    """Minimum size of a zero forcing set, with the first witness found.
+def _zero_forcing_value(g: Graph) -> int:
+    """The zero forcing number alone, with no witness and no cap check.
 
     The wavefront keeps the cheapest known cost of each closed set,
     starting from the closure of the empty set at cost 0, and expands sets
@@ -76,10 +76,8 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
     S); the grown set is then closed.  Every step can be paid for by
     adding that many vertices to a set whose closure is S, so Z is at most
     the cost at which the whole vertex set is reached, and Brimkov, Fast
-    and Hicks show the two are equal.  The witness is then the first
-    forcing set of size Z in ascending order.
+    and Hicks show the two are equal.
     """
-    _check_cap(g, cap)
     adj, full = g.adj, g.full
     closed_nbhd = [a | 1 << v for v, a in enumerate(adj)]
     start = _derived(adj, full, 0)
@@ -103,9 +101,17 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
                     best[child] = child_cost
                     buckets[child_cost].append(child)
         cost += 1
-    for s in size_k_subsets(g.n, cost):
-        if _derived(adj, full, s) == full:
-            return ExactResult(cost, s)
+    return cost
+
+
+def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
+    """Minimum size of a zero forcing set Z, from the wavefront, with the
+    first forcing set of size Z in ascending order as the witness."""
+    _check_cap(g, cap)
+    value = _zero_forcing_value(g)
+    for s in size_k_subsets(g.n, value):
+        if _derived(g.adj, g.full, s) == g.full:
+            return ExactResult(value, s)
     raise AssertionError("the wavefront cost is always reached by some subset")
 
 

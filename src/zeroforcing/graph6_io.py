@@ -6,6 +6,9 @@ of the adjacency matrix in column-major order ((0,1), (0,2), (1,2),
 Trailing pad bits must be zero.  The optional ">>graph6<<" header emitted
 by some tools is skipped at the start of a stream (line 1) and rejected
 anywhere else; CRLF line endings are tolerated.
+
+Read as one int without its padding, the body is the packed string that
+census's canonical labeling minimizes; only this module knows its layout.
 """
 
 from __future__ import annotations
@@ -25,6 +28,42 @@ class Graph6Error(ValueError):
         self.line = line
 
 
+def _pack_bits(adj: tuple[int, ...], order: list[int]) -> int:
+    """The upper triangle under a vertex order, in column-major order,
+    packed big-endian into an int: a graph6 body without its padding."""
+    bits = 0
+    for j in range(1, len(order)):
+        col = order[j]
+        for i in range(j):
+            bits = bits << 1 | (adj[order[i]] >> col & 1)
+    return bits
+
+
+def _unpack_bits(n: int, bits: int) -> tuple[int, ...]:
+    """The adjacency rows of the n-vertex graph whose packed string is bits."""
+    adj = [0] * n
+    s = format(bits, f"0{n * (n - 1) // 2}b")
+    for j in range(1, n):
+        t = j * (j - 1) // 2
+        adj[j] = low = int(s[t:t + j][::-1], 2)  # the neighbors i < j of j
+        while low:
+            b = low & -low
+            low ^= b
+            adj[b.bit_length() - 1] |= 1 << j
+    return tuple(adj)
+
+
+def _graph6_of_bits(n: int, bits: int) -> str:
+    """The graph6 record of the n-vertex graph whose packed string is bits."""
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    bits <<= need * 6 - nbits
+    return chr(n + 63) + "".join([chr((bits >> k & 63) + 63) for k in range(need * 6 - 6, -1, -6)])
+
+
+_SIX_BITS = {v + 63: format(v, "06b") for v in range(64)}  # body byte -> its six bits
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 record (a header is not part of a record)."""
     s = text.strip()
@@ -32,53 +71,30 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"a {HEADER} header may only open a stream")
     if not s:
         raise Graph6Error("empty record")
-    values = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise Graph6Error(f"byte {ord(ch)} outside the graph6 alphabet")
-        values.append(v)
-    if values[0] == 63:
+    if min(s) < "?" or max(s) > "~":
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise Graph6Error(f"byte {ord(bad)} outside the graph6 alphabet")
+    n = ord(s[0]) - 63
+    if n == 63:
         raise Graph6Error("multi-byte vertex counts (n > 62) are not supported")
-    n = values[0]
     if n == 0:
         raise Graph6Error("graphs need at least one vertex")
-    body = values[1:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    if len(body) != need:
-        raise Graph6Error(f"expected {need} body bytes for n={n}, got {len(body)}")
-    adj = [0] * n
-    t = 0
-    for j in range(1, n):
-        for i in range(j):
-            if body[t // 6] >> (5 - t % 6) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            t += 1
-    if need and body[-1] & (1 << (need * 6 - nbits)) - 1:
+    if len(s) - 1 != need:
+        raise Graph6Error(f"expected {need} body bytes for n={n}, got {len(s) - 1}")
+    bits = int(s[1:].translate(_SIX_BITS) or "0", 2)
+    pad = need * 6 - nbits
+    if bits & (1 << pad) - 1:
         raise Graph6Error("nonzero padding bits")
-    return Graph(n, tuple(adj))
+    return Graph(n, _unpack_bits(n, bits >> pad))
 
 
 def write_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 record (no trailing newline)."""
     if g.n > 62:
         raise Graph6Error(f"cannot encode {g.n} vertices in a single-byte header")
-    out = [chr(g.n + 63)]
-    acc = 0
-    count = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-            count += 1
-            if count == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                count = 0
-    if count:
-        out.append(chr((acc << (6 - count)) + 63))
-    return "".join(out)
+    return _graph6_of_bits(g.n, _pack_bits(g.adj, list(range(g.n))))
 
 
 def read_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -1,17 +1,20 @@
 """End-to-end acceptance checks, one test per criterion.
 
 Run with -v to get one pass/fail line per criterion.  The n <= 8 census
-behind criteria 2-7 runs once per session (see conftest).  Criterion 4's
-hours-scale extension is gated behind RUN_EXTENDED=1 and, for the n = 10
-row, a graph6 file named by EXTENDED_N10_FILE.
+behind criteria 2-7 runs once per session (see conftest); criterion 9
+adds the n = 9 column over its own generation of every n = 9 class.  The
+n = 10 row is gated behind RUN_EXTENDED=1 and a graph6 file named by
+EXTENDED_N10_FILE.
 """
 
+import multiprocessing
 import os
 import time
 
 import pytest
 
 from zeroforcing import (
+    CensusTable,
     failed_zero_forcing_number,
     generate_graphs,
     is_connected,
@@ -25,6 +28,7 @@ from zeroforcing import (
     GraphRecord,
     check_record,
 )
+from zeroforcing.census import _evaluate
 
 from naive import count_classes_by_dedupe
 
@@ -32,7 +36,7 @@ F_TABLE = {
     1: {3: 2, 4: 1},
     2: {4: 5, 5: 5, 6: 2},
     3: {5: 16, 6: 29, 7: 16, 8: 1},
-    4: {6: 81, 7: 277, 8: 268},
+    4: {6: 81, 7: 277, 8: 268, 9: 14},
 }
 E_TABLE = {
     1: {3: 1, 4: 1},
@@ -106,35 +110,50 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_infrastructure(census_n8):
     known = {7: (1044, 853), 8: (12346, 11117), 9: (274668, 261080)}
-    for n in range(1, 10):
-        total = 0
-        connected = 0
-        for g in generate_graphs(n):
-            assert parse_graph6(write_graph6(g)) == g
-            total += 1
-            connected += is_connected(g)
-        if n <= 6:
-            assert (total, connected) == count_classes_by_dedupe(n)
-        else:
-            assert (total, connected) == known[n]
-        if n <= 8:
-            assert census_n8.connected_totals[n] == connected
+    n9 = CensusTable(max_n=9, k_max=4)
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        for n in range(1, 10):
+            counts = [0, 0]
+
+            def connected_classes():
+                for g in generate_graphs(n):
+                    assert parse_graph6(write_graph6(g)) == g
+                    counts[0] += 1
+                    if is_connected(g):
+                        counts[1] += 1
+                        yield g
+
+            if n < 9:
+                for _ in connected_classes():
+                    pass
+            else:  # the n = 9 column of the census, over the same generation
+                for record in pool.imap(_evaluate, connected_classes(), chunksize=64):
+                    n9.add(record)
+            if n <= 6:
+                assert tuple(counts) == count_classes_by_dedupe(n)
+            else:
+                assert tuple(counts) == known[n]
+            if n <= 8:
+                assert census_n8.connected_totals[n] == counts[1]
+    assert n9.connected_totals == {9: 261080}
+    for k in range(1, 5):
+        assert n9.f_counts.get((k, 9), 0) == F_TABLE[k].get(9, 0), k
+        assert n9.e_counts.get((k, 9), 0) == E_TABLE[k].get(9, 0), k
+    assert n9.violations == []
+    assert census_n8.f_total(4) + n9.f_total(4) == 640
+    assert census_n8.e_total(4) + n9.e_total(4) == 50
     serial = run_census(max_n=8, k_max=4, jobs=1)
     assert serial.to_json() == census_n8.to_json()
     assert serial.to_text_table() == census_n8.to_text_table()
 
 
-@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
-                    reason="hours-scale extension; set RUN_EXTENDED=1")
+@pytest.mark.skipif(not (os.environ.get("RUN_EXTENDED") and os.environ.get("EXTENDED_N10_FILE")),
+                    reason="hours-scale extension; set RUN_EXTENDED=1 and EXTENDED_N10_FILE "
+                           "to a graph6 file of the n=10 graphs")
 def test_extended_f4_row():
-    table = run_census(max_n=9, k_max=4, jobs=os.cpu_count() or 1)
-    assert table.f_counts.get((4, 9), 0) == 14
-    n10 = os.environ.get("EXTENDED_N10_FILE")
-    if not n10:
-        assert table.f_total(4) == 640  # all but the one n = 10 class
-        pytest.skip("set EXTENDED_N10_FILE to a graph6 file for the n=10 row")
+    # n <= 9 is checked by criterion 9; this adds the one n = 10 class
     table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1,
-                       sources={10: n10})
+                       sources={10: os.environ["EXTENDED_N10_FILE"]})
     assert table.f_counts.get((4, 10), 0) == 1
     assert table.f_total(4) == 641
     assert table.e_total(4) == 50

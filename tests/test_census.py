@@ -9,7 +9,6 @@ from zeroforcing import (
     Finding,
     Graph6Error,
     GraphRecord,
-    Graph,
     canonical_form,
     check_record,
     complete_graph,
@@ -23,7 +22,8 @@ from zeroforcing import (
     write_graph6,
 )
 
-from zeroforcing.census import _adj_of_bits, _canon_bits, _classes, _novel_extensions, _pack_bits
+from zeroforcing import census
+from zeroforcing.census import _classes, _novel_extensions
 
 from conftest import random_graph
 from naive import are_isomorphic, count_classes_by_dedupe
@@ -59,7 +59,7 @@ def test_canonical_graph_is_isomorphic_representative():
     for _ in range(100):
         n = rng.randint(1, 8)
         g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-        rep = Graph(n, _adj_of_bits(n, _canon_bits(n, g.adj)))
+        rep = parse_graph6(canonical_form(g))
         assert are_isomorphic(g, rep)
         assert canonical_form(rep) == canonical_form(g)
 
@@ -85,7 +85,12 @@ def test_generated_classes_are_their_own_canonical_form():
     # own packed string, which is its canonical string only by this fact
     for n in range(1, 8):
         for g in generate_graphs(n):
-            assert _canon_bits(g.n, g.adj) == _pack_bits(g.adj, list(range(g.n)))
+            assert canonical_form(g) == write_graph6(g)
+
+
+def test_canonical_form_rejects_graphs_above_the_cap():
+    with pytest.raises(ValueError, match="capped at 16"):
+        canonical_form(path_graph(17))
 
 
 def test_classes_from_distinct_parents_are_distinct():
@@ -226,4 +231,20 @@ def test_census_source_errors(tmp_path):
 def test_census_rejects_missing_source_for_large_n():
     with pytest.raises(ValueError):
         run_census(max_n=10, k_max=4)
+
+
+def test_census_rejects_a_source_above_the_labeling_cap_up_front(tmp_path, monkeypatch):
+    sources = {}
+    for n in range(10, 17):
+        sources[n] = tmp_path / f"n{n}.g6"
+        sources[n].write_text("")
+    sources[17] = tmp_path / "n17.g6"  # never opened
+    # the check must come before the built-in n <= 9 census, not after it
+    def no_stream(n, source):
+        raise AssertionError(f"n={n} was streamed")
+
+    monkeypatch.setattr(census, "_connected_stream", no_stream)
+    with pytest.raises(ValueError, match="above the labeling cap of 16") as err:
+        run_census(max_n=17, k_max=4, sources={n: str(p) for n, p in sources.items()})
+    assert str(sources[17]) in str(err.value)
 

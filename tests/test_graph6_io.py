@@ -15,6 +15,7 @@ from zeroforcing import (
     read_stream,
     write_graph6,
 )
+from zeroforcing.graph6_io import _pack_bits, _unpack_bits
 
 from conftest import random_graph
 
@@ -57,6 +58,17 @@ def test_round_trip_random():
     for n in sizes:
         g = random_graph(rng, n, rng.uniform(0.0, 1.0))
         assert parse_graph6(write_graph6(g)) == g
+
+
+def test_unpack_inverts_pack_under_any_vertex_order():
+    # order[i] becomes vertex i; canonical labeling packs under such orders
+    rng = random.Random(17)
+    for n in list(range(1, 63)) * 3:
+        g = random_graph(rng, n, rng.uniform(0.0, 1.0))
+        order = list(range(n))
+        rng.shuffle(order)
+        relabeled = from_edges(n, [(order.index(u), order.index(v)) for u, v in g.edges()])
+        assert _unpack_bits(n, _pack_bits(g.adj, order)) == relabeled.adj
 
 
 def test_round_trip_all_small_classes():
