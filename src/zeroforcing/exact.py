@@ -108,9 +108,10 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
     """Minimum size of a zero forcing set Z, from the wavefront, with the
     first forcing set of size Z in ascending order as the witness."""
     _check_cap(g, cap)
+    adj, full = g.adj, g.full
     value = _zero_forcing_value(g)
     for s in size_k_subsets(g.n, value):
-        if _derived(g.adj, g.full, s) == g.full:
+        if _derived(adj, full, s) == full:
             return ExactResult(value, s)
     raise AssertionError("the wavefront cost is always reached by some subset")
 

@@ -2,7 +2,7 @@
 
 Run with -v to get one pass/fail line per criterion.  The n <= 8 census
 behind criteria 2-7 runs once per session (see conftest); criterion 9
-adds the n = 9 column over its own generation of every n = 9 class.  The
+runs the n <= 9 census over its own generation of every class.  The
 n = 10 row is gated behind RUN_EXTENDED=1 and a graph6 file named by
 EXTENDED_N10_FILE.
 """
@@ -110,46 +110,43 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_infrastructure(census_n8):
     known = {7: (1044, 853), 8: (12346, 11117), 9: (274668, 261080)}
-    n9 = CensusTable(max_n=9, k_max=4)
-    with multiprocessing.get_context("fork").Pool(2) as pool:
+    counts = {}
+
+    def connected_classes():
         for n in range(1, 10):
-            counts = [0, 0]
+            total = connected = 0
+            for g in generate_graphs(n):
+                assert parse_graph6(write_graph6(g)) == g
+                total += 1
+                if is_connected(g):
+                    connected += 1
+                    yield g
+            counts[n] = (total, connected)
 
-            def connected_classes():
-                for g in generate_graphs(n):
-                    assert parse_graph6(write_graph6(g)) == g
-                    counts[0] += 1
-                    if is_connected(g):
-                        counts[1] += 1
-                        yield g
-
-            if n < 9:
-                for _ in connected_classes():
-                    pass
-            else:  # the n = 9 column of the census, over the same generation
-                for record in pool.imap(_evaluate, connected_classes(), chunksize=64):
-                    n9.add(record)
-            if n <= 6:
-                assert tuple(counts) == count_classes_by_dedupe(n)
-            else:
-                assert tuple(counts) == known[n]
-            if n <= 8:
-                assert census_n8.connected_totals[n] == counts[1]
-    assert n9.connected_totals == {9: 261080}
+    # the n <= 9 census over this one generation of every class
+    table = CensusTable(max_n=9, k_max=4)
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        for record in pool.imap(_evaluate, connected_classes(), chunksize=64):
+            table.add(record)
+    for n in range(1, 10):
+        assert counts[n] == (count_classes_by_dedupe(n) if n <= 6 else known[n])
+        assert table.connected_totals[n] == counts[n][1]
+        if n <= 8:
+            assert census_n8.connected_totals[n] == counts[n][1]
     for k in range(1, 5):
-        assert n9.f_counts.get((k, 9), 0) == F_TABLE[k].get(9, 0), k
-        assert n9.e_counts.get((k, 9), 0) == E_TABLE[k].get(9, 0), k
-    assert n9.violations == []
-    assert census_n8.f_total(4) + n9.f_total(4) == 640
-    assert census_n8.e_total(4) + n9.e_total(4) == 50
+        for n in range(1, 10):
+            assert table.f_counts.get((k, n), 0) == F_TABLE[k].get(n, 0), (k, n)
+            assert table.e_counts.get((k, n), 0) == E_TABLE[k].get(n, 0), (k, n)
+    assert table.f_total(4) == 640  # all but the one n = 10 class
+    assert table.e_total(4) == 50
+    assert table.violations == []
     serial = run_census(max_n=8, k_max=4, jobs=1)
     assert serial.to_json() == census_n8.to_json()
     assert serial.to_text_table() == census_n8.to_text_table()
 
 
-@pytest.mark.skipif(not (os.environ.get("RUN_EXTENDED") and os.environ.get("EXTENDED_N10_FILE")),
-                    reason="hours-scale extension; set RUN_EXTENDED=1 and EXTENDED_N10_FILE "
-                           "to a graph6 file of the n=10 graphs")
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED") or not os.environ.get("EXTENDED_N10_FILE"),
+                    reason="hours-scale extension; set RUN_EXTENDED=1 and EXTENDED_N10_FILE")
 def test_extended_f4_row():
     # n <= 9 is checked by criterion 9; this adds the one n = 10 class
     table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1,

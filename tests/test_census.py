@@ -247,4 +247,3 @@ def test_census_rejects_a_source_above_the_labeling_cap_up_front(tmp_path, monke
     with pytest.raises(ValueError, match="above the labeling cap of 16") as err:
         run_census(max_n=17, k_max=4, sources={n: str(p) for n, p in sources.items()})
     assert str(sources[17]) in str(err.value)
-
