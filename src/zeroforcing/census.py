@@ -1,32 +1,35 @@
 """Isomorph-free censuses of zero forcing quantities over small graphs.
 
-Graph classes are generated by canonical deletion (McKay's method, as in
-nauty's geng): each (n-1)-vertex class is extended by a new vertex over
-every neighborhood, and a child is kept only when the new vertex is the
-one a canonical rule would delete from it, so each class comes from one
-parent and duplicates are removed within that parent, with no set of
-every class seen so far.  Canonical forms come from equitable-partition
-refinement on degrees plus backtracking over the refined cells,
-minimizing the packed adjacency string of graph6_io (`_pack_bits`), so
-the canonical form of a graph is the graph6 record of that minimum.
+Graph classes are generated by canonical augmentation (McKay's method, as
+in nauty's geng): each (n-1)-vertex class is extended by a new vertex over
+one neighborhood from each orbit of its automorphism group, and a child is
+kept only when the new vertex lies in the orbit of the vertex a canonical
+rule would delete from it, so each class comes from one parent once, with
+no set of every class seen so far.  Only children where the new vertex
+ties for that rule are labelled, and each parent once.  Canonical forms
+come from equitable-partition refinement on degrees plus backtracking over
+the refined cells, minimizing the packed adjacency string of graph6_io
+(`_pack_bits`), so the canonical form of a graph is the graph6 record of
+that minimum; the leaves that reach it give the automorphism group.
 
 A census walks the connected classes per vertex count, computes the exact
 zero forcing and failed zero forcing numbers of each, tallies them per
 (value, n) cell, and checks every graph against the proven bounds and the
-open n <= k + 4 conjecture.
+open n <= k + 4 conjecture.  The graph6 records the census prints are
+canonical, so its document does not depend on how a class was labelled.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .exact import _zero_forcing_value, failed_zero_forcing_number
-from .graph6_io import Graph6Error, _graph6_of_bits, _pack_bits, _unpack_bits
-from .graph6_io import read_stream, write_graph6
+from .graph6_io import Graph6Error, _graph6_of_bits, _pack_bits
+from .graph6_io import parse_graph6, read_stream, write_graph6
 from .graph_core import Graph, is_connected
 
 CANON_MAX = 16
@@ -97,25 +100,42 @@ def _cells_order(cells: list[int]) -> list[int]:
     return order
 
 
-def _canon_bits(n: int, adj: tuple[int, ...]) -> int:
-    """Minimum packed adjacency string over the refinement search tree."""
+def _canon_bits(n: int, adj: tuple[int, ...]) -> tuple[int, list[int], list[list[int]]]:
+    """Minimum packed adjacency string over the refinement search tree,
+    the vertex order of the first leaf that reaches it, and generators of
+    the automorphism group, each a list image with image[u] the image of u.
+
+    The tree is isomorphism-invariant and searched in full, so every
+    automorphism maps the first best leaf to a best leaf; it is the map
+    between their vertex orders composed with a permutation inside the
+    cells of the first best leaf.  A homogeneous leaf keeps cells of more
+    than one vertex, and any permutation inside them is an automorphism,
+    generated by the swaps of vertices next to each other in a cell.
+    """
     by_degree: dict[int, int] = {}
     for v in range(n):
         d = adj[v].bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     best = None
+    best_orders: list[list[int]] = []
+    best_cells: list[int] = []
 
     def search(cells: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_cells
         target = -1
         for i, cell in enumerate(cells):
             if cell & (cell - 1):
                 target = i
                 break
         if target == -1 or _homogeneous(adj, cells):
-            bits = _pack_bits(adj, _cells_order(cells))
+            order = _cells_order(cells)
+            bits = _pack_bits(adj, order)
             if best is None or bits < best:
                 best = bits
+                best_orders.clear()
+                best_cells = cells
+            if bits == best:
+                best_orders.append(order)
             return
         cell = cells[target]
         rem = cell
@@ -125,7 +145,20 @@ def _canon_bits(n: int, adj: tuple[int, ...]) -> int:
             search(_refine(adj, cells[:target] + [bit, cell ^ bit] + cells[target + 1:]))
 
     search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
-    return best
+    first = best_orders[0]
+    generators = []
+    for order in best_orders[1:]:
+        image = [0] * n
+        for u, w in zip(first, order):
+            image[u] = w
+        generators.append(image)
+    for cell in best_cells:
+        members = _cells_order([cell])
+        for u, w in zip(members, members[1:]):
+            image = list(range(n))
+            image[u], image[w] = w, u
+            generators.append(image)
+    return best, first, generators
 
 
 def canonical_form(g: Graph) -> str:
@@ -133,7 +166,7 @@ def canonical_form(g: Graph) -> str:
     isomorphic graphs."""
     if g.n > CANON_MAX:
         raise ValueError(f"canonical labeling capped at {CANON_MAX} vertices")
-    return _graph6_of_bits(g.n, _canon_bits(g.n, g.adj))
+    return _graph6_of_bits(g.n, _canon_bits(g.n, g.adj)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -168,40 +201,82 @@ def _top_keys(adj: tuple[int, ...], top: int) -> dict[int, tuple[int, ...]]:
     return keys
 
 
-def _delete_vertex(adj: tuple[int, ...], w: int) -> tuple[int, ...]:
-    """Adjacency without vertex w, the vertices above it shifted down one."""
-    low = (1 << w) - 1
-    return tuple(row & low | row >> 1 & ~low for u, row in enumerate(adj) if u != w)
+def _on_sets(generators: list[list[int]]) -> list[list[int]]:
+    """Each vertex permutation as the list of 1 << image, which maps a
+    vertex subset's bit mask bit by bit."""
+    return [[1 << x for x in image] for image in generators]
+
+
+def _subset_orbit(subset: int, bit_maps: list[list[int]]) -> set[int]:
+    """The orbit of a vertex subset's bit mask under the group that the
+    vertex permutations generate, each given in the form of _on_sets."""
+    orbit = {subset}
+    stack = [subset]
+    while stack:
+        s = stack.pop()
+        for bit_map in bit_maps:
+            t = 0
+            rem = s
+            while rem:
+                bit = rem & -rem
+                rem ^= bit
+                t |= bit_map[bit.bit_length() - 1]
+            if t not in orbit:
+                orbit.add(t)
+                stack.append(t)
+    return orbit
 
 
 def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
-    """One canonical graph per class on n vertices, from every parent class
-    on n - 1 vertices, by canonical deletion (B. D. McKay, "Isomorph-free
+    """One graph per class on n vertices, from every parent class on n - 1
+    vertices, by canonical augmentation (B. D. McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998).
 
     A vertex's key is its degree, then the sorted degrees of its neighbors.
-    A child C = P + v is kept only when v ties for the largest key and
-    C - w* is isomorphic to P, where w* is the first vertex with the
-    largest key in C's canonical labeling.  The class of C - w* depends on
-    C's class alone, so each class is kept from one parent only and
-    duplicates can only come from that parent; and every class C is
-    reached from the parent class of C - w*, with v in the place of w*.
-    Parents must be canonically labeled, as every generated class is, so
-    that a parent's own packed string is its canonical one.
+    In a graph C, let w* be the first vertex with the largest key in C's
+    canonical order, and m(C) the Aut(C)-orbit of w*; an isomorphism from
+    C to C' maps m(C) onto m(C').  A child C = P + v over a neighborhood N
+    of the parent P is kept only when N is the smallest member of its
+    Aut(P)-orbit and v lies in m(C).
+    - Every class is reached.  Take C in it and w* in m(C): C - w* is
+      isomorphic to some parent P, and the isomorphism extends to one from
+      C to some P + N that maps w* to v.  The smallest N' of N's
+      Aut(P)-orbit gives a child isomorphic to P + N with v fixed, so v
+      lies in m(P + N').
+    - No class is kept twice.  An isomorphism between two kept children
+      maps v into m of the second, so, composed with an automorphism of
+      that child, it fixes v.  Restricted to the parents it shows that
+      they are one class, hence one parent, and it maps one neighborhood
+      onto the other by an automorphism of P: one Aut(P)-orbit, of which
+      one N is kept.
+
+    An automorphism of P that maps N to N' extends to an isomorphism of
+    the two children that fixes v, so the degree filter and the key test
+    answer alike on a whole orbit and run on its smallest member only.
+    Keys are invariant, so m(C) holds only vertices with the largest key:
+    a child where v does not hold it is dropped, and one where v alone
+    holds it has m(C) = {v} and is kept unlabelled.  Each parent is
+    labelled once, for its automorphism generators, and each tied child
+    once, for its order and generators.  Parents may carry any labelling.
     """
     v = n - 1
     for parent in parents:
-        parent_bits = _pack_bits(parent.adj, list(range(v)))
+        bit_maps = _on_sets(_canon_bits(v, parent.adj)[2])
+        seen: set[int] = set()
         by_degree = [0] * n
         for u, row in enumerate(parent.adj):
             by_degree[row.bit_count()] |= 1 << u
         top = max(d for d in range(n) if by_degree[d])
-        local: set[int] = set()
         for neighborhood in range(1 << v):
             size = neighborhood.bit_count()
             # v must have the largest degree in C
             if size < top or size == top and neighborhood & by_degree[top]:
                 continue
+            # N must be the smallest member of its Aut(P)-orbit
+            if neighborhood in seen:
+                continue
+            if bit_maps:
+                seen |= _subset_orbit(neighborhood, bit_maps)
             adj = _extended_adj(parent.adj, neighborhood, n)
             # keys are compared only when another vertex also has degree size
             tied = False
@@ -211,18 +286,12 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
                 if rival > keys[v]:
                     continue
                 tied = rival == keys[v]
-            bits = _canon_bits(n, adj)
-            if bits in local:
-                continue
-            local.add(bits)
-            canon = _unpack_bits(n, bits)
-            # when v alone holds the largest key, w* is v and C - w* is P
             if tied:
-                canon_keys = _top_keys(canon, size)
-                w = min(u for u, key in canon_keys.items() if key == keys[v])
-                if _canon_bits(v, _delete_vertex(canon, w)) != parent_bits:
+                _, order, generators = _canon_bits(n, adj)
+                w = next(u for u in order if keys.get(u) == keys[v])
+                if w != v and 1 << v not in _subset_orbit(1 << w, _on_sets(generators)):
                     continue
-            yield Graph(n, canon)
+            yield Graph(n, adj)
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +302,8 @@ def _classes(n: int) -> tuple[Graph, ...]:
 
 
 def generate_graphs(n: int) -> Iterator[Graph]:
-    """One canonically labeled graph per isomorphism class on n vertices.
+    """One graph per isomorphism class on n vertices, not canonically
+    labeled: each is its parent class's graph plus vertex n - 1.
 
     Built-in generation covers 1 <= n <= 9; the top level streams without
     being cached.  Includes disconnected classes; filter downstream.
@@ -341,14 +411,22 @@ class CensusTable:
         return sum(c for (kk, _), c in self.e_counts.items() if kk == k)
 
     def add(self, record: GraphRecord) -> None:
+        """Tally one record.  An exemplar or a finding keeps the canonical
+        form of the record's graph, not the record's own labeling."""
         self.connected_totals[record.n] = self.connected_totals.get(record.n, 0) + 1
         k = record.failed
+        exemplar = False
         if 1 <= k <= self.k_max:
             self.f_counts[(k, record.n)] = self.f_counts.get((k, record.n), 0) + 1
             if record.zero == k:
                 self.e_counts[(k, record.n)] = self.e_counts.get((k, record.n), 0) + 1
-                self.exemplars.setdefault((k, record.n), []).append(record.graph6)
-        self.violations.extend(check_record(record))
+                exemplar = True
+        findings = check_record(record)
+        if exemplar or findings:
+            canon = canonical_form(parse_graph6(record.graph6))
+            if exemplar:
+                self.exemplars.setdefault((k, record.n), []).append(canon)
+            self.violations.extend(replace(f, graph6=canon) for f in findings)
 
     def finalize(self) -> None:
         """Deterministic ordering of list-valued fields."""
@@ -434,7 +512,7 @@ def _connected_stream(n: int, source: str | None) -> Iterator[Graph]:
                     raise Graph6Error(f"expected {n} vertices, found {g.n}", lineno)
                 if not is_connected(g):
                     continue
-                first = first_line.setdefault(_canon_bits(n, g.adj), lineno)
+                first = first_line.setdefault(_canon_bits(n, g.adj)[0], lineno)
                 if first != lineno:
                     raise Graph6Error(f"same class as line {first}", lineno)
                 yield g

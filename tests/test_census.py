@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from zeroforcing import (
     CensusTable,
@@ -18,12 +21,13 @@ from zeroforcing import (
     is_connected,
     parse_graph6,
     path_graph,
+    petersen_graph,
     run_census,
     write_graph6,
 )
 
 from zeroforcing import census
-from zeroforcing.census import _classes, _novel_extensions
+from zeroforcing.census import _canon_bits, _classes, _novel_extensions, _on_sets, _subset_orbit
 
 from conftest import random_graph
 from naive import are_isomorphic, count_classes_by_dedupe
@@ -80,12 +84,82 @@ def test_generated_classes_are_pairwise_distinct():
         assert not are_isomorphic(g, h)
 
 
-def test_generated_classes_are_their_own_canonical_form():
-    # canonical deletion compares a child minus one vertex with its parent's
-    # own packed string, which is its canonical string only by this fact
-    for n in range(1, 8):
-        for g in generate_graphs(n):
-            assert canonical_form(g) == write_graph6(g)
+# sha256 of the sorted canonical_form records of the classes on n vertices,
+# recorded when generation still yielded canonically labeled graphs, whose
+# own records these were
+CLASS_DIGESTS = {
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    4: "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+    5: "6d6f843705782883a8ce87faa164796dcdcbc3f2d033fe2e34a8d782c2c6b82a",
+    6: "f523cfda15e9d535ce349a3d80bef200e2f85e497064153b7efef1dfd7616d44",
+    7: "d16cb100e88e2559837f2637813bf19f1e58dce202c8f4b5ae408eef2eb79f9b",
+    8: "aff8dddabbc3d74f79ef9335e2a515a5455d4958c41e7b3ac4efc7a2d2299dba",
+}
+
+
+def test_generated_classes_have_the_pinned_canonical_forms():
+    for n, digest in CLASS_DIGESTS.items():
+        forms = sorted(canonical_form(g) for g in generate_graphs(n))
+        assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == digest, n
+
+
+def _vertex_orbits(n, pairs):
+    """The partition of range(n) joined by the (u, image of u) pairs."""
+    root = list(range(n))
+
+    def find(u):
+        while root[u] != u:
+            u = root[u]
+        return u
+
+    for u, w in pairs:
+        root[find(u)] = find(w)
+    return {frozenset(u for u in range(n) if find(u) == r) for r in set(map(find, range(n)))}
+
+
+def _networkx_graph(g, marked=None):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(g.n))
+    graph.add_edges_from(g.edges())
+    nx.set_node_attributes(graph, {u: u == marked for u in range(g.n)}, "marked")
+    return graph
+
+
+def _networkx_automorphisms(g, u=None, w=None):
+    """networkx's automorphisms of g, or only those that map u to w."""
+    return GraphMatcher(_networkx_graph(g, u), _networkx_graph(g, w),
+                        node_match=lambda a, b: a["marked"] == b["marked"]).isomorphisms_iter()
+
+
+def test_automorphism_generators_match_networkx():
+    rng = random.Random(41)
+    graphs = [g for n in range(1, 7) for g in generate_graphs(n)]
+    graphs += [complete_graph(9), from_edges(9, []), petersen_graph()]
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        graphs.append(random_graph(rng, n, rng.uniform(0.1, 0.9)))
+    assert sum(not is_connected(g) for g in graphs[-100:]) >= 20
+    for g in graphs:
+        _, _, generators = _canon_bits(g.n, g.adj)
+        for image in generators:
+            assert sorted(image) == list(range(g.n))
+            assert sorted(tuple(sorted((image[u], image[w]))) for u, w in g.edges()) == g.edges()
+        ours = _vertex_orbits(g.n, [(u, image[u]) for image in generators for u in range(g.n)])
+        theirs = _vertex_orbits(g.n, [(u, w) for u in range(g.n) for w in range(u + 1, g.n)
+                                      if next(_networkx_automorphisms(g, u, w), None)])
+        assert ours == theirs, write_graph6(g)
+        if g.n <= 6:
+            # Burnside: the orbits on vertex subsets average 2^cycles over Aut(G)
+            automorphisms = list(_networkx_automorphisms(g))
+            fixed = sum(2 ** len(_vertex_orbits(g.n, p.items())) for p in automorphisms)
+            seen, count = set(), 0
+            for subset in range(1 << g.n):
+                if subset not in seen:
+                    count += 1
+                    seen |= _subset_orbit(subset, _on_sets(generators))
+            assert count * len(automorphisms) == fixed, write_graph6(g)
 
 
 def test_canonical_form_rejects_graphs_above_the_cap():
@@ -136,8 +210,11 @@ def test_table_tallies_and_exemplars():
     assert table.e_counts[(1, 3)] == 1
     assert table.f_total(1) == 2 and table.f_total(2) == 1
     assert table.e_total(1) == 1
-    assert table.exemplars[(1, 3)] == ["Bg"]
+    # exemplars keep the canonical record: BW is the path Bg relabeled
+    assert table.exemplars[(1, 3)] == ["BW"] == [canonical_form(path_graph(3))]
     assert table.connected_totals[3] == 2
+    table.add(GraphRecord(graph6="Bg", n=3, zero=1, failed=2))
+    assert [(f.kind, f.graph6) for f in table.violations] == [("upper-bound", "BW")]
 
 
 def test_table_text_layout():

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,9 @@ from zeroforcing import (
     Finding,
     GraphRecord,
     WitnessReport,
+    from_edges,
+    generate_graphs,
+    is_connected,
     write_graph6,
 )
 from zeroforcing import cli
@@ -211,6 +215,26 @@ def test_census_input_override(tmp_path, capsys):
     rows = {line.split("\t")[0]: line.split("\t")[1:]
             for line in out.strip().split("\n")[1:]}
     assert rows["connected"] == ["1", "1", "1", "3"]
+
+
+def test_census_input_relabeled_gives_the_builtin_document(tmp_path, capsys):
+    rng = random.Random(43)
+    lines = []
+    for g in generate_graphs(6):
+        if is_connected(g):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            lines.append(write_graph6(from_edges(6, [(perm[u], perm[v]) for u, v in g.edges()])))
+    rng.shuffle(lines)
+    src = tmp_path / "n6.g6"
+    src.write_text("\n".join(lines) + "\n")
+    docs = []
+    for extra in ([], ["--input", f"6={src}"]):
+        assert run(["census", "--max-n", "6", "--format", "structured"] + extra) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert docs[1].pop("sources")["6"] == str(src)
+    assert docs[0].pop("sources")["6"] == "builtin"
+    assert docs[1] == docs[0]
 
 
 def test_census_bad_input_flag(tmp_path, capsys):
