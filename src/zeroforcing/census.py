@@ -132,9 +132,9 @@ def _canon_bits(n: int, adj: tuple[int, ...]) -> tuple[int, list[int], list[list
             bits = _pack_bits(adj, order)
             if best is None or bits < best:
                 best = bits
-                best_orders.clear()
-                best_cells = cells
-            if bits == best:
+                best_orders[:] = [order]
+                best_cells = cells if target != -1 else []
+            elif bits == best:
                 best_orders.append(order)
             return
         cell = cells[target]
@@ -147,17 +147,18 @@ def _canon_bits(n: int, adj: tuple[int, ...]) -> tuple[int, list[int], list[list
     search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
     first = best_orders[0]
     generators = []
-    for order in best_orders[1:]:
-        image = [0] * n
-        for u, w in zip(first, order):
-            image[u] = w
-        generators.append(image)
+    if len(best_orders) > 1:
+        position = [0] * n
+        for i, u in enumerate(first):
+            position[u] = i
+        generators = [[order[i] for i in position] for order in best_orders[1:]]
     for cell in best_cells:
-        members = _cells_order([cell])
-        for u, w in zip(members, members[1:]):
-            image = list(range(n))
-            image[u], image[w] = w, u
-            generators.append(image)
+        if cell & (cell - 1):
+            members = _cells_order([cell])
+            for u, w in zip(members, members[1:]):
+                image = list(range(n))
+                image[u], image[w] = w, u
+                generators.append(image)
     return best, first, generators
 
 
