@@ -57,7 +57,8 @@ def _build_parser() -> _Parser:
     census = sub.add_parser("census", help="tables over all connected classes")
     census.add_argument("--max-n", type=int, required=True)
     census.add_argument("--k-max", type=int, default=4)
-    census.add_argument("--jobs", type=int, default=1)
+    census.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, at most the core count (default %(default)s)")
     census.add_argument("--input", action="append", default=[], metavar="N=PATH",
                         help="graph6 file overriding built-in generation for one n")
     census.add_argument("--output", help="also write the structured document here")

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import random
+from collections import Counter
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -277,6 +281,68 @@ def test_census_parallel_matches_serial():
     parallel = run_census(max_n=6, k_max=4, jobs=4)
     assert serial.to_json() == parallel.to_json()
     assert serial.to_text_table() == parallel.to_text_table()
+
+
+def test_slices_of_parents_concatenate_to_the_whole_level():
+    for n in range(2, 9):
+        level = list(generate_graphs(n))
+        parents = _classes(n - 1)
+        for size in (1, 7, len(parents)):
+            children = []
+            for i in range(0, len(parents), size):
+                children.extend(_novel_extensions(parents[i:i + size], n))
+            assert children == level, (n, size)
+
+
+def test_census_is_identical_at_uneven_job_counts(monkeypatch):
+    # three workers even on a two-core machine, so the slices split unevenly
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = run_census(max_n=7, k_max=4, jobs=1)
+    for jobs in (2, 3):
+        parallel = run_census(max_n=7, k_max=4, jobs=jobs)
+        assert parallel.to_json() == serial.to_json()
+        assert parallel.to_text_table() == serial.to_text_table()
+
+
+def test_census_generates_each_level_once(monkeypatch):
+    classes = lru_cache(maxsize=None)(census._classes.__wrapped__)
+    monkeypatch.setattr(census, "_classes", classes)  # a cold cache, restored afterwards
+    extend = census._novel_extensions
+    parents_seen = Counter()
+
+    def counted(parents, n):
+        parents = list(parents)
+        parents_seen[n] += len(parents)
+        return extend(parents, n)
+
+    monkeypatch.setattr(census, "_novel_extensions", counted)
+    run_census(max_n=7, k_max=4, jobs=1)
+    assert parents_seen == {n: len(classes(n - 1)) for n in range(2, 8)}
+
+
+def test_census_pool_is_bounded_by_the_cores(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def close(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool)
+    expected = run_census(max_n=5, k_max=4).to_json()
+    for cores, jobs, pools in ((3, 100000, [3]), (3, 2, [2]), (1, 100000, []), (None, 8, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        requested.clear()
+        assert run_census(max_n=5, k_max=4, jobs=jobs).to_json() == expected
+        assert requested == pools, (cores, jobs)
 
 
 def test_census_reads_sources(tmp_path):

@@ -237,6 +237,21 @@ def test_census_input_relabeled_gives_the_builtin_document(tmp_path, capsys):
     assert docs[1] == docs[0]
 
 
+def test_census_input_at_two_jobs_matches_one(tmp_path, capsys):
+    rng = random.Random(47)
+    lines = [write_graph6(g) for g in generate_graphs(6) if is_connected(g)]
+    rng.shuffle(lines)
+    src = tmp_path / "n6.g6"
+    src.write_text("\n".join(lines) + "\n")
+    outputs = []
+    for jobs in ("1", "2"):
+        assert run(["census", "--max-n", "6", "--format", "structured",
+                    "--input", f"6={src}", "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert json.loads(outputs[0])["sources"]["6"] == str(src)
+
+
 def test_census_bad_input_flag(tmp_path, capsys):
     assert run(["census", "--max-n", "3", "--input", "three=/tmp/x"]) == 1
     assert "N=PATH" in capsys.readouterr().err
