@@ -31,7 +31,7 @@ from .forcing import (
     is_zero_forcing,
     spent_vertices,
 )
-from .graph6_io import Graph6Error, parse_graph6, read_stream, write_graph6
+from .graph6_io import Graph6Error, parse_graph6, write_graph6
 from .graph_core import (
     Graph,
     complete_bipartite,
@@ -89,7 +89,6 @@ __all__ = [
     "parse_graph6",
     "path_graph",
     "petersen_graph",
-    "read_stream",
     "run_census",
     "size_k_subsets",
     "spent_vertices",

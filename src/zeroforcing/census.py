@@ -13,7 +13,8 @@ the refined cells, minimizing the packed adjacency string of graph6_io
 that minimum; the leaves that reach it give the automorphism group, which
 only generation asks for.
 
-A census walks the connected classes per vertex count, computes the exact
+A census walks the connected classes per vertex count up to BUILTIN_MAX
+(10, where the last class with failed number 4 appears), computes the exact
 zero forcing and failed zero forcing numbers of each, tallies them per
 (value, n) cell, and checks every graph against the proven bounds and the
 open n <= k + 4 conjecture.  Since a child is kept or dropped by its own
@@ -33,12 +34,11 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .exact import _zero_forcing_value, failed_zero_forcing_number
-from .graph6_io import Graph6Error, _graph6_of_bits, _pack_bits
-from .graph6_io import parse_graph6, read_stream, write_graph6
+from .graph6_io import _graph6_of_bits, _pack_bits, parse_graph6, write_graph6
 from .graph_core import Graph, is_connected
 
 CANON_MAX = 16
-BUILTIN_MAX = 9
+BUILTIN_MAX = 10
 # Graphs per census task.  On 2 cores, a slice of 32 n = 7 parents takes
 # 0.05 s of generation and evaluation on average and 0.1 s at most,
 # against about 0.15 ms of pool traffic per task, and the n = 8 level
@@ -328,7 +328,8 @@ def generate_graphs(n: int) -> Iterator[Graph]:
     """One graph per isomorphism class on n vertices, not canonically
     labeled: each is its parent class's graph plus vertex n - 1.
 
-    Built-in generation covers 1 <= n <= 9; the top level streams without
+    Built-in generation covers 1 <= n <= BUILTIN_MAX (10).  Levels below
+    it are cached, about 106 MB at n = 9; n = 10 streams from them without
     being cached.  Includes disconnected classes; filter downstream.
     """
     if not 1 <= n <= BUILTIN_MAX:
@@ -423,7 +424,6 @@ class CensusTable:
     f_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     e_counts: dict[tuple[int, int], int] = field(default_factory=dict)
     connected_totals: dict[int, int] = field(default_factory=dict)
-    sources: dict[int, str] = field(default_factory=dict)
     violations: list[Finding] = field(default_factory=list)
     exemplars: dict[tuple[int, int], list[str]] = field(default_factory=dict)
 
@@ -488,7 +488,8 @@ class CensusTable:
             "f_totals": {str(k): self.f_total(k) for k in range(1, self.k_max + 1)},
             "e_totals": {str(k): self.e_total(k) for k in range(1, self.k_max + 1)},
             "connected_totals": {str(n): c for n, c in sorted(self.connected_totals.items())},
-            "sources": {str(n): s for n, s in sorted(self.sources.items())},
+            # Every level is generated; zeroforcing-census/1 keeps the key.
+            "sources": {str(n): "builtin" for n in range(1, self.max_n + 1)},
             "violations": [
                 {"kind": f.kind, "graph6": f.graph6, "n": f.n, "detail": f.detail}
                 for f in self.violations
@@ -501,7 +502,7 @@ class CensusTable:
                 }
                 for k in sorted({k for k, _ in self.exemplars})
             },
-            # Always empty, since bad input stops the run; zeroforcing-census/1 keeps the key.
+            # Always empty, since nothing is read; zeroforcing-census/1 keeps the key.
             "read_errors": [],
         }
 
@@ -531,90 +532,42 @@ def _shard(task: tuple[tuple[Graph, ...], int]) -> list[GraphRecord]:
     return [_evaluate(g) for g in graphs if is_connected(g)]
 
 
-def _level_slices(levels: list[int]) -> Iterator[tuple[tuple[Graph, ...], int]]:
-    """The built-in levels as _shard tasks of SLICE graphs each.  The top
+def _level_slices(top: int) -> Iterator[tuple[tuple[Graph, ...], int]]:
+    """The levels 1..top as _shard tasks of SLICE graphs each.  The top
     level is sliced by its parents, _classes(top - 1), whose cache holds
     every level below it, so each class is generated once: a level below
     the top here, the top level inside its own slices."""
-    top = levels[-1]
-    for n in levels:
+    for n in range(1, top + 1):
         graphs = _classes(n - 1) if n == top > 1 else _classes(n)
         for i in range(0, len(graphs), SLICE):
             yield graphs[i:i + SLICE], n
 
 
-def _connected_stream(n: int, source: str) -> Iterator[Graph]:
-    first_line: dict[int, int] = {}
-    try:
-        # latin-1 maps every byte to one character, so parse_graph6 reports
-        # a non-ASCII byte with its line instead of the decoder failing.
-        with open(source, encoding="latin-1") as handle:
-            for lineno, g in read_stream(handle):
-                if g.n != n:
-                    raise Graph6Error(f"expected {n} vertices, found {g.n}", lineno)
-                if not is_connected(g):
-                    continue
-                first = first_line.setdefault(_canon_key(n, g.adj), lineno)
-                if first != lineno:
-                    raise Graph6Error(f"same class as line {first}", lineno)
-                yield g
-    except ValueError as exc:
-        exc.args = (f"{source}: {exc}",)  # name the file; a Graph6Error keeps .line
-        raise
+def run_census(max_n: int, k_max: int = 4, jobs: int = 1) -> CensusTable:
+    """Exact census of the connected classes for every n up to max_n, from
+    built-in generation (n <= BUILTIN_MAX).
 
-
-def run_census(
-    max_n: int,
-    k_max: int = 4,
-    sources: dict[int, str] | None = None,
-    jobs: int = 1,
-) -> CensusTable:
-    """Exact census of connected classes for every n up to max_n.
-
-    Classes come from built-in generation (n <= 9) unless sources maps an n
-    to a newline-delimited graph6 file of n-vertex graphs.  A malformed,
-    wrong-size or duplicate connected record raises Graph6Error naming the
-    file and line; a file with n > CANON_MAX raises ValueError up front.
-    Files are read and evaluated first, one graph per task, and then the
-    built-in levels, in slices of SLICE graphs: the top built-in level as
-    slices of its parents, each slice generating and evaluating its own
-    children, and the levels below it from the cache those parents fill.
-    The tasks run in min(jobs, os.cpu_count()) forked workers, or in this
-    process when that is 1; the output is identical for any job count.
-    Raises ValueError when max_n, k_max or jobs is below 1, or when
-    sources maps an n outside 1..max_n.
+    The levels go out in slices of SLICE graphs: the top level as slices
+    of its parents, each slice generating and evaluating its own children,
+    and the levels below it from the cache those parents fill.  The tasks
+    run in min(jobs, os.cpu_count()) forked workers, or in this process
+    when that is 1; the output is identical for any job count.  Raises
+    ValueError when max_n, k_max or jobs is below 1, or max_n is above
+    BUILTIN_MAX.
     """
     for name, value in (("max_n", max_n), ("k_max", k_max), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    sources = dict(sources or {})
-    for n, source in sources.items():
-        if not 1 <= n <= max_n:
-            raise ValueError(f"{source}: input for n={n} is outside 1..max_n={max_n}")
-        if n > CANON_MAX:
-            raise ValueError(f"{source}: input for n={n} is above the labeling cap of {CANON_MAX}")
-    for n in range(1, max_n + 1):
-        if n > BUILTIN_MAX and n not in sources:
-            raise ValueError(f"no built-in generation for n={n}; provide a graph6 source")
+    if max_n > BUILTIN_MAX:
+        raise ValueError(f"built-in generation covers n = 1..{BUILTIN_MAX}, not max_n={max_n}")
     table = CensusTable(max_n=max_n, k_max=k_max)
-    table.sources = {n: sources.get(n, "builtin") for n in range(1, max_n + 1)}
-    levels = [n for n in range(1, max_n + 1) if n not in sources]
+    tasks = _level_slices(max_n)
     workers = min(jobs, os.cpu_count() or 1)
     pool = multiprocessing.get_context("fork").Pool(workers) if workers > 1 else None
     try:
-        for n, source in sorted(sources.items()):
-            stream = _connected_stream(n, source)
-            if pool is None:
-                records = map(_evaluate, stream)
-            else:
-                records = pool.imap(_evaluate, stream, chunksize=64)
+        for records in map(_shard, tasks) if pool is None else pool.imap(_shard, tasks):
             for record in records:
                 table.add(record)
-        if levels:
-            tasks = _level_slices(levels)
-            for records in map(_shard, tasks) if pool is None else pool.imap(_shard, tasks):
-                for record in records:
-                    table.add(record)
     finally:
         if pool is not None:
             pool.close()

@@ -2,9 +2,10 @@
 
 Three commands: analyze (exact numbers plus a verified construction for
 one or more graphs), witness (just the construction), and census (tables
-over all connected classes per vertex count).  graph6 input comes from
-arguments, files, or standard input.  Exit codes: 0 success, 1 usage or
-parse errors, 2 verification failure or bound violation.
+over all connected classes per vertex count, n <= 10, from built-in
+generation).  analyze and witness read graph6 records from arguments or
+standard input.  Exit codes: 0 success, 1 usage or parse errors, 2
+verification failure or bound violation.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ def _build_parser() -> _Parser:
     witness.add_argument("--format", choices=("table", "structured"), default="table")
 
     census = sub.add_parser("census", help="tables over all connected classes")
-    census.add_argument("--max-n", type=int, required=True)
+    census.add_argument("--max-n", type=int, required=True,
+                        help="largest vertex count, 1 to 10; 10 takes about half an hour of CPU")
     census.add_argument("--k-max", type=int, default=4)
     census.add_argument("--jobs", type=int, default=1,
                         help="worker processes, at most the core count (default %(default)s)")
-    census.add_argument("--input", action="append", default=[], metavar="N=PATH",
-                        help="graph6 file overriding built-in generation for one n")
     census.add_argument("--output", help="also write the structured document here")
     census.add_argument("--format", choices=("table", "structured"), default="table")
     return parser
@@ -70,7 +70,11 @@ def _input_records(args_graphs: list[str]) -> list[tuple[str, str]]:
     """(where, record) pairs; where names the argument or the stdin line."""
     if args_graphs:
         return [(f"argument {i}", record) for i, record in enumerate(args_graphs, start=1)]
-    lines = sys.stdin.read().splitlines()
+    # bytes, so that the locale's decoder neither fails on nor hides a byte
+    # that is not ASCII; a text stream such as io.StringIO has no buffer
+    raw = getattr(sys.stdin, "buffer", None)
+    text = raw.read().decode("ascii", "surrogateescape") if raw is not None else sys.stdin.read()
+    lines = text.splitlines()
     return [(f"stdin: line {lineno}", record) for lineno, record in read_records(lines)]
 
 
@@ -188,31 +192,12 @@ def _run_graph_command(args, build) -> int:
     return EXIT_OK if all(ok for _, ok in built) else EXIT_VERIFY
 
 
-def _parse_sources(items: list[str]) -> dict[int, str]:
-    out: dict[int, str] = {}
-    for item in items:
-        key, sep, path = item.partition("=")
-        if not sep or not key.isdigit():
-            raise ValueError(f"--input expects N=PATH, got {item!r}")
-        n = int(key)
-        if n in out:
-            raise ValueError(f"--input {n} given twice: {out[n]} and {path}")
-        out[n] = path
-    return out
-
-
 def _run_census(args) -> int:
     try:
-        sources = _parse_sources(args.input)
         # Opened first, so that an unwritable path fails before the census runs;
         # append mode keeps an earlier document if the census then fails.
         with open(args.output, "a") if args.output else contextlib.nullcontext() as out:
-            table = run_census(
-                max_n=args.max_n,
-                k_max=args.k_max,
-                sources=sources,
-                jobs=args.jobs,
-            )
+            table = run_census(max_n=args.max_n, k_max=args.k_max, jobs=args.jobs)
             if out is not None:
                 out.truncate(0)
                 out.write(table.to_json())

@@ -23,10 +23,6 @@ HEADER = ">>graph6<<"
 class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-        self.line = line
-
 
 def _pack_bits(adj: tuple[int, ...], order: list[int]) -> int:
     """The upper triangle under a vertex order, in column-major order,
@@ -72,8 +68,10 @@ def parse_graph6(text: str) -> Graph:
     if not s:
         raise Graph6Error("empty record")
     if min(s) < "?" or max(s) > "~":
-        bad = next(ch for ch in s if not "?" <= ch <= "~")
-        raise Graph6Error(f"byte {ord(bad)} outside the graph6 alphabet")
+        bad = ord(next(ch for ch in s if not "?" <= ch <= "~"))
+        if 0xDC80 <= bad <= 0xDCFF:
+            bad -= 0xDC00  # an undecodable byte, escaped as a lone surrogate (PEP 383)
+        raise Graph6Error(f"byte {bad} outside the graph6 alphabet")
     n = ord(s[0]) - 63
     if n == 63:
         raise Graph6Error("multi-byte vertex counts (n > 62) are not supported")
@@ -109,16 +107,3 @@ def read_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             s = s[len(HEADER):].strip()
         if s:
             yield lineno, s
-
-
-def read_stream(lines: Iterable[str]) -> Iterator[tuple[int, Graph]]:
-    """Yield (line number, graph) for each record in lines of graph6 text.
-
-    Blank lines and a header on line 1 are skipped.  A malformed record
-    raises Graph6Error with its line number set.
-    """
-    for lineno, s in read_records(lines):
-        try:
-            yield lineno, parse_graph6(s)
-        except Graph6Error as exc:
-            raise Graph6Error(str(exc), line=lineno) from None

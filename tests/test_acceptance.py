@@ -2,19 +2,18 @@
 
 Run with -v to get one pass/fail line per criterion.  The n <= 8 census
 behind criteria 2-7 runs once per session (see conftest); criterion 9
-runs the n <= 9 census over its own generation of every class.  The
-n = 10 row is gated behind RUN_EXTENDED=1 and a graph6 file named by
-EXTENDED_N10_FILE.
+runs the n <= 9 census at two jobs and checks it against every class.
+The n = 10 census, which completes the F = 4 row, is gated behind
+RUN_EXTENDED=1.
 """
 
-import multiprocessing
+import hashlib
 import os
 import time
 
 import pytest
 
 from zeroforcing import (
-    CensusTable,
     failed_zero_forcing_number,
     generate_graphs,
     is_connected,
@@ -28,8 +27,6 @@ from zeroforcing import (
     GraphRecord,
     check_record,
 )
-from zeroforcing.census import _evaluate
-
 from naive import count_classes_by_dedupe
 
 F_TABLE = {
@@ -110,29 +107,18 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_infrastructure(census_n8):
     known = {7: (1044, 853), 8: (12346, 11117), 9: (274668, 261080)}
-    counts = {}
-
-    def connected_classes():
-        for n in range(1, 10):
-            total = connected = 0
-            for g in generate_graphs(n):
-                assert parse_graph6(write_graph6(g)) == g
-                total += 1
-                if is_connected(g):
-                    connected += 1
-                    yield g
-            counts[n] = (total, connected)
-
-    # the n <= 9 census over this one generation of every class
-    table = CensusTable(max_n=9, k_max=4)
-    with multiprocessing.get_context("spawn").Pool(2) as pool:
-        for record in pool.imap(_evaluate, connected_classes(), chunksize=64):
-            table.add(record)
+    # as `census --max-n 9 --jobs 2` runs it: n = 9 generated in the workers
+    table = run_census(max_n=9, k_max=4, jobs=2)
     for n in range(1, 10):
-        assert counts[n] == (count_classes_by_dedupe(n) if n <= 6 else known[n])
-        assert table.connected_totals[n] == counts[n][1]
+        total = connected = 0
+        for g in generate_graphs(n):
+            assert parse_graph6(write_graph6(g)) == g
+            total += 1
+            connected += is_connected(g)
+        assert (total, connected) == (count_classes_by_dedupe(n) if n <= 6 else known[n])
+        assert table.connected_totals[n] == connected
         if n <= 8:
-            assert census_n8.connected_totals[n] == counts[n][1]
+            assert census_n8.connected_totals[n] == connected
     for k in range(1, 5):
         for n in range(1, 10):
             assert table.f_counts.get((k, n), 0) == F_TABLE[k].get(n, 0), (k, n)
@@ -145,12 +131,18 @@ def test_criterion_9_infrastructure(census_n8):
     assert serial.to_text_table() == census_n8.to_text_table()
 
 
-@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED") or not os.environ.get("EXTENDED_N10_FILE"),
-                    reason="hours-scale extension; set RUN_EXTENDED=1 and EXTENDED_N10_FILE")
+# the structured document of `census --max-n 10 --k-max 4`, BENCH_builtin_n10.json
+N10_SHA256 = "dd3578709f3ca923dec52686c499869b82afc729bfc0522a16b01a4b546fb3b9"
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
+                    reason="about 25 min of CPU; set RUN_EXTENDED=1")
 def test_extended_f4_row():
     # n <= 9 is checked by criterion 9; this adds the one n = 10 class
-    table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1,
-                       sources={10: os.environ["EXTENDED_N10_FILE"]})
+    table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1)
+    assert table.connected_totals[10] == 11716571  # A001349
     assert table.f_counts.get((4, 10), 0) == 1
     assert table.f_total(4) == 641
     assert table.e_total(4) == 50
+    assert table.violations == []
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == N10_SHA256

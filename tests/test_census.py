@@ -14,7 +14,6 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from zeroforcing import (
     CensusTable,
     Finding,
-    Graph6Error,
     GraphRecord,
     canonical_form,
     check_record,
@@ -181,8 +180,9 @@ def test_classes_from_distinct_parents_are_distinct():
 
 
 def test_generate_rejects_large_n():
-    with pytest.raises(ValueError):
-        list(generate_graphs(10))
+    for n in (0, 11):
+        with pytest.raises(ValueError, match=f"covers 1..10, not {n}"):
+            list(generate_graphs(n))
 
 
 def test_check_record_kinds():
@@ -345,48 +345,7 @@ def test_census_pool_is_bounded_by_the_cores(monkeypatch):
         assert requested == pools, (cores, jobs)
 
 
-def test_census_reads_sources(tmp_path):
-    path = tmp_path / "n4.g6"
-    lines = [write_graph6(g) for g in generate_graphs(4)]
-    path.write_text("\n".join(lines) + "\n")
-    table = run_census(max_n=4, k_max=2, sources={4: str(path)})
-    baseline = run_census(max_n=4, k_max=2)
-    assert table.f_counts == baseline.f_counts
-    assert table.e_counts == baseline.e_counts
-    assert table.sources[4] == str(path)
-
-
-def test_census_source_errors(tmp_path):
-    path = tmp_path / "bad.g6"
-    cases = [
-        ("Bw\nB\n", 2, "body bytes"),  # malformed
-        ("Bw\n\nCF\n", 3, "expected 3 vertices, found 4"),
-        ("Bw\nBg\nBW\n", 3, "same class as line 2"),  # BW relabels Bg
-    ]
-    for text, line, message in cases:
-        path.write_text(text)
-        with pytest.raises(Graph6Error) as err:
-            run_census(max_n=3, k_max=1, sources={3: str(path)})
-        assert err.value.line == line
-        assert str(path) in str(err.value) and message in str(err.value)
-
-
 def test_census_rejects_missing_source_for_large_n():
-    with pytest.raises(ValueError):
-        run_census(max_n=10, k_max=4)
-
-
-def test_census_rejects_a_source_above_the_labeling_cap_up_front(tmp_path, monkeypatch):
-    sources = {}
-    for n in range(10, 17):
-        sources[n] = tmp_path / f"n{n}.g6"
-        sources[n].write_text("")
-    sources[17] = tmp_path / "n17.g6"  # never opened
-    # the check must come before the built-in n <= 9 census, not after it
-    def no_stream(n, source):
-        raise AssertionError(f"n={n} was streamed")
-
-    monkeypatch.setattr(census, "_connected_stream", no_stream)
-    with pytest.raises(ValueError, match="above the labeling cap of 16") as err:
-        run_census(max_n=17, k_max=4, sources={n: str(p) for n, p in sources.items()})
-    assert str(sources[17]) in str(err.value)
+    # above the built-in range before any level is generated
+    with pytest.raises(ValueError, match="covers n = 1..10, not max_n=11"):
+        run_census(max_n=11, k_max=4)

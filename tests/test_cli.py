@@ -1,6 +1,9 @@
 import io
 import json
-import random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +14,6 @@ from zeroforcing import (
     Finding,
     GraphRecord,
     WitnessReport,
-    from_edges,
-    generate_graphs,
-    is_connected,
     write_graph6,
 )
 from zeroforcing import cli
@@ -21,8 +21,6 @@ from zeroforcing.graph_core import complete_graph, path_graph
 
 
 def run(args, stdin=""):
-    import sys
-
     old = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
@@ -129,6 +127,21 @@ def test_bad_stdin_record_names_its_line_and_prints_nothing(capsys):
     assert captured.err.startswith("stdin: line 3: bad graph6 record 'B': ")
 
 
+@pytest.mark.parametrize("encoding", [None, "utf-8:strict"])
+def test_stdin_byte_outside_ascii_is_named_by_its_value(encoding):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    env.pop("PYTHONIOENCODING", None)
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
+    done = subprocess.run([sys.executable, "-m", "zeroforcing.cli", "analyze"],
+                          input=b"Bw\n\xff\n", capture_output=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == b""
+    assert done.stderr.startswith(b"stdin: line 2: bad graph6 record ")
+    assert done.stderr.endswith(b": byte 255 outside the graph6 alphabet\n")
+
+
 def test_bad_argument_record_names_its_position_and_prints_nothing(capsys):
     assert run(["analyze", "--format", "structured", "Bw", "Bg", "B", "Bw"]) == 1
     captured = capsys.readouterr()
@@ -207,67 +220,7 @@ def test_census_structured_and_output(tmp_path, capsys):
     assert json.loads(path.read_text()) == doc
 
 
-def test_census_input_override(tmp_path, capsys):
-    src = tmp_path / "n3.g6"
-    src.write_text("Bw\n")
-    assert run(["census", "--max-n", "3", "--input", f"3={src}"]) == 0
-    out = capsys.readouterr().out
-    rows = {line.split("\t")[0]: line.split("\t")[1:]
-            for line in out.strip().split("\n")[1:]}
-    assert rows["connected"] == ["1", "1", "1", "3"]
-
-
-def test_census_input_relabeled_gives_the_builtin_document(tmp_path, capsys):
-    rng = random.Random(43)
-    lines = []
-    for g in generate_graphs(6):
-        if is_connected(g):
-            perm = list(range(6))
-            rng.shuffle(perm)
-            lines.append(write_graph6(from_edges(6, [(perm[u], perm[v]) for u, v in g.edges()])))
-    rng.shuffle(lines)
-    src = tmp_path / "n6.g6"
-    src.write_text("\n".join(lines) + "\n")
-    docs = []
-    for extra in ([], ["--input", f"6={src}"]):
-        assert run(["census", "--max-n", "6", "--format", "structured"] + extra) == 0
-        docs.append(json.loads(capsys.readouterr().out))
-    assert docs[1].pop("sources")["6"] == str(src)
-    assert docs[0].pop("sources")["6"] == "builtin"
-    assert docs[1] == docs[0]
-
-
-def test_census_input_at_two_jobs_matches_one(tmp_path, capsys):
-    rng = random.Random(47)
-    lines = [write_graph6(g) for g in generate_graphs(6) if is_connected(g)]
-    rng.shuffle(lines)
-    src = tmp_path / "n6.g6"
-    src.write_text("\n".join(lines) + "\n")
-    outputs = []
-    for jobs in ("1", "2"):
-        assert run(["census", "--max-n", "6", "--format", "structured",
-                    "--input", f"6={src}", "--jobs", jobs]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[1] == outputs[0]
-    assert json.loads(outputs[0])["sources"]["6"] == str(src)
-
-
-def test_census_bad_input_flag(tmp_path, capsys):
-    assert run(["census", "--max-n", "3", "--input", "three=/tmp/x"]) == 1
-    assert "N=PATH" in capsys.readouterr().err
-    src = tmp_path / "n3.g6"
-    src.write_text("Bw\n")
-    for n in ("7", "0"):
-        assert run(["census", "--max-n", "3", "--input", f"{n}={src}"]) == 1
-        captured = capsys.readouterr()
-        assert f"{src}: input for n={n} is outside" in captured.err
-        assert captured.out == ""
-    other = tmp_path / "other.g6"
-    other.write_text("Bw\n")
-    assert run(["census", "--max-n", "3", "--input", f"3={src}", "--input", f"3={other}"]) == 1
-    captured = capsys.readouterr()
-    assert f"--input 3 given twice: {src} and {other}" in captured.err
-    assert captured.out == ""
+def test_census_bad_input_flag(capsys):
     for flags in (["--max-n", "0"], ["--max-n", "-2"],
                   ["--max-n", "3", "--jobs", "0"], ["--max-n", "3", "--k-max", "0"]):
         assert run(["census", *flags]) == 1
@@ -275,29 +228,16 @@ def test_census_bad_input_flag(tmp_path, capsys):
         assert "must be at least 1" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("text, line, message", [
-    ("Bw\nB\n", 2, "expected 1 body bytes"),
-    ("Bw\nCF\n", 2, "expected 3 vertices"),
-    ("Bw\nBw\n", 2, "same class as line 1"),
-    ("Bw\n>>graph6<<Bw\n", 2, "a >>graph6<< header may only open a stream"),
-], ids=["malformed", "wrong-size", "duplicate", "late-header"])
-def test_census_bad_input_file(tmp_path, capsys, text, line, message):
-    src = tmp_path / "n3.g6"
-    src.write_text(text)
-    assert run(["census", "--max-n", "3", "--input", f"3={src}"]) == 1
-    captured = capsys.readouterr()
-    assert f"{src}: line {line}: {message}" in captured.err
-    assert captured.out == ""
-
-
 def test_census_output_opened_before_the_run(tmp_path, monkeypatch, capsys):
-    bad = tmp_path / "bad.g6"
-    bad.write_text("B\n")
+    def failed_run(**kw):
+        raise ValueError("the census failed")
+
     kept = tmp_path / "census.json"
     kept.write_text("earlier document\n")
-    assert run(["census", "--max-n", "3", "--input", f"3={bad}", "--output", str(kept)]) == 1
+    monkeypatch.setattr(cli, "run_census", failed_run)
+    assert run(["census", "--max-n", "3", "--output", str(kept)]) == 1
     assert kept.read_text() == "earlier document\n"
-    capsys.readouterr()
+    assert "the census failed" in capsys.readouterr().err
     monkeypatch.setattr(cli, "run_census", lambda **kw: pytest.fail("census ran"))
     path = tmp_path / "no" / "census.json"
     assert run(["census", "--max-n", "3", "--output", str(path)]) == 1
@@ -306,8 +246,10 @@ def test_census_output_opened_before_the_run(tmp_path, monkeypatch, capsys):
 
 
 def test_census_missing_source(capsys):
-    assert run(["census", "--max-n", "12"]) == 1
-    assert "graph6 source" in capsys.readouterr().err
+    assert run(["census", "--max-n", "11"]) == 1
+    captured = capsys.readouterr()
+    assert "built-in generation covers n = 1..10, not max_n=11" in captured.err
+    assert captured.out == ""
 
 
 def test_census_violation_exits_2(monkeypatch, capsys):

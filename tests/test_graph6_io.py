@@ -12,10 +12,9 @@ from zeroforcing import (
     parse_graph6,
     path_graph,
     petersen_graph,
-    read_stream,
     write_graph6,
 )
-from zeroforcing.graph6_io import _pack_bits, _unpack_bits
+from zeroforcing.graph6_io import _pack_bits, _unpack_bits, read_records
 
 from conftest import random_graph
 
@@ -30,7 +29,7 @@ def test_known_encodings():
 
 
 def test_header_and_whitespace_tolerated():
-    assert [g for _, g in read_stream([">>graph6<<Bw"])] == [complete_graph(3)]
+    assert [parse_graph6(s) for _, s in read_records([">>graph6<<Bw"])] == [complete_graph(3)]
     assert parse_graph6("Bw\r\n").edges() == complete_graph(3).edges()
     assert parse_graph6("  Bw  ").edges() == complete_graph(3).edges()
     with pytest.raises(Graph6Error, match="header"):
@@ -90,21 +89,20 @@ def test_networkx_agrees_both_ways():
         assert parse_graph6(back) == g
 
 
-def test_read_stream_collects_and_numbers_lines():
-    lines = [">>graph6<<", "Bw", "", "  ", "Bg", "@"]
-    assert [(line, g.n) for line, g in read_stream(lines)] == [(2, 3), (5, 3), (6, 1)]
+def test_read_records_numbers_lines():
+    lines = [">>graph6<<", "Bw", "", "  ", "Bg\r\n", "@"]
+    records = list(read_records(lines))
+    assert records == [(2, "Bw"), (5, "Bg"), (6, "@")]
+    assert [parse_graph6(s).n for _, s in records] == [3, 3, 1]
 
 
-def test_read_stream_fail_fast():
-    with pytest.raises(Graph6Error) as err:
-        list(read_stream(["Bw", "B"]))
-    assert err.value.line == 2
-
-
-def test_read_stream_rejects_a_later_header():
-    with pytest.raises(Graph6Error, match="header") as err:
-        list(read_stream(["Bw", ">>graph6<<Bg"]))
-    assert err.value.line == 2
+def test_read_records_keeps_a_later_header():
+    # dropped from line 1 only, so the record on a later line fails to parse
+    ((line, s),) = read_records(["", ">>graph6<<Bg"])
+    assert line == 2
+    with pytest.raises(Graph6Error, match="header"):
+        parse_graph6(s)
+    assert list(read_records([">>graph6<<Bg"])) == [(1, "Bg")]
 
 
 def test_petersen_round_trip():
