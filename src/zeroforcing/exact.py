@@ -13,8 +13,17 @@ The failed zero forcing number comes from forts (Fetcie, Jacob and
 Saavedra, "The failed zero forcing number of a graph", Involve 8, 2015).
 A fort is a nonempty vertex set T such that no vertex outside T has
 exactly one neighbor in T.  A set fails to force exactly when its
-complement contains a fort, so F = n - (smallest fort size), and a
-depth-first search over forts of growing size finds the smallest one.
+complement contains a fort, so F = n - (smallest fort size).  The two
+smallest sizes are settled by rule, with no search:
+
+- {v} is a fort exactly when v is isolated, since a neighbor of v would
+  have exactly one neighbor in it;
+- {u, v} is a fort exactly when N(u) minus v equals N(v) minus u (u and
+  v are true or false twins), since a vertex outside adjacent to just
+  one of them would have exactly one neighbor in it.
+
+A depth-first search over forts of growing size finds the smallest fort
+of three or more vertices.
 """
 
 from __future__ import annotations
@@ -192,12 +201,28 @@ def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactR
     the failed sets of size F are the complements of the forts of size m.
     Complementing reverses numeric order, so the first of them in
     ascending order is the complement of the numerically largest fort of
-    size m, which `_largest_fort` returns at the first m with a fort.
+    size m.
+
+    m = 1 when some vertex is isolated, and the largest such fort is the
+    highest isolated vertex.  Otherwise m = 2 when some pair u < v are
+    twins.  Two-vertex masks compare by their higher bit first, so the
+    largest twin pair has the highest v and then the highest u, and
+    scanning v and then u from the top down meets it first.
+    Otherwise `_largest_fort` searches m = 3, 4, ... and returns the
+    largest fort at the first m that has one.
     """
     _check_cap(g, cap)
-    adj, full = g.adj, g.full
-    for m in range(1, g.n + 1):
+    adj, full, n = g.adj, g.full, g.n
+    for v in range(n - 1, -1, -1):
+        if not adj[v]:
+            return ExactResult(n - 1, full ^ 1 << v)
+    for v in range(n - 1, 0, -1):
+        for u in range(v - 1, -1, -1):
+            pair = 1 << u | 1 << v
+            if not (adj[u] ^ adj[v]) & ~pair:
+                return ExactResult(n - 2, full ^ pair)
+    for m in range(3, n + 1):
         fort = _largest_fort(adj, full, m)
         if fort is not None:
-            return ExactResult(g.n - m, full ^ fort)
+            return ExactResult(n - m, full ^ fort)
     raise AssertionError("the whole vertex set is a fort")

@@ -10,6 +10,7 @@ from zeroforcing import (
     cycle_graph,
     derived_set,
     failed_zero_forcing_number,
+    from_edges,
     generate_graphs,
     is_connected,
     is_zero_forcing,
@@ -108,6 +109,80 @@ def test_failed_number_is_n_minus_smallest_fort():
     for n in range(1, 8):
         for g in generate_graphs(n):
             assert failed_zero_forcing_number(g).value == n - naive_min_fort(adj_sets(g))
+
+
+def _isolated(adj: list[set[int]]) -> list[int]:
+    return [v for v, nbrs in enumerate(adj) if not nbrs]
+
+
+def _twin_pairs(adj: list[set[int]]) -> set[tuple[int, int]]:
+    """Pairs u < v with N(u) minus v equal to N(v) minus u."""
+    return {(u, v) for u, v in itertools.combinations(range(len(adj)), 2)
+            if adj[u] - {v} == adj[v] - {u}}
+
+
+def _planted(n, seed, twins=(), isolated=()):
+    """A G(n, 1/2) graph with small forts planted in it.  For each
+    (u, v, adjacent) in twins, v takes u's neighbors, plus u itself when
+    adjacent; then each vertex in isolated loses its edges."""
+    rng = random.Random(seed)
+    adj = [set() for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            adj[u].add(v)
+            adj[v].add(u)
+
+    def clear(v):
+        for w in adj[v]:
+            adj[w].discard(v)
+        adj[v] = set()
+
+    for u, v, adjacent in twins:
+        clear(v)
+        for w in adj[u] | ({u} if adjacent else set()):
+            adj[v].add(w)
+            adj[w].add(v)
+    for v in isolated:
+        clear(v)
+    return from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+@pytest.mark.parametrize("n, seed, twins, isolated, pairs, fort", [
+    # an isolated vertex beats a numerically larger twin pair
+    (10, 1, [(8, 9, True)], [3], {(8, 9)}, [3]),
+    # of two isolated vertices, the higher one; they are twins of each other too
+    (11, 2, [(4, 10, False)], [2, 6], {(2, 6), (4, 10)}, [6]),
+    # twin classes {3, 7, 12} (false) and {1, 9, 13} (true): the largest
+    # pair has the highest v, then the highest u below it
+    (14, 3, [(3, 7, False), (3, 12, False), (1, 9, True), (1, 13, True)], [],
+     {(3, 7), (3, 12), (7, 12), (1, 9), (1, 13), (9, 13)}, [9, 13]),
+    # the same with the highest pair false twins and a true pair below it
+    (12, 4, [(5, 8, False), (5, 11, False), (0, 10, True)], [],
+     {(5, 8), (5, 11), (8, 11), (0, 10)}, [8, 11]),
+    # twin-free with no isolated vertex: the smallest fort has 3 or more
+    (10, 5, [], [], set(), None),
+], ids=["isolated-beats-twins", "higher-isolated", "largest-true-pair",
+        "largest-false-pair", "twin-free"])
+def test_small_forts_give_the_first_witness(n, seed, twins, isolated, pairs, fort):
+    g = _planted(n, seed, twins, isolated)
+    adj = adj_sets(g)
+    assert _isolated(adj) == isolated and _twin_pairs(adj) == pairs
+    f = failed_zero_forcing_number(g)
+    if fort is None:
+        assert f.value <= n - 3
+    else:
+        assert f.witness == g.full ^ mask_of(fort)
+    assert (f.value, vertices_of(f.witness)) == naive_first_failed(adj)
+
+
+def test_small_fort_rules_match_the_naive_smallest_fort():
+    # every class up to 7 vertices, disconnected ones included
+    for n in range(1, 8):
+        for g in generate_graphs(n):
+            adj = adj_sets(g)
+            m = naive_min_fort(adj)
+            assert (m == 1) == bool(_isolated(adj))
+            assert (m == 2) == (not _isolated(adj) and bool(_twin_pairs(adj)))
 
 
 @pytest.mark.parametrize("g, z, f", [
