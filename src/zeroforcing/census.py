@@ -18,10 +18,10 @@ A census walks the connected classes per vertex count up to BUILTIN_MAX
 zero forcing and failed zero forcing numbers of each, tallies them per
 (value, n) cell, and checks every graph against the proven bounds and the
 open n <= k + 4 conjecture.  Since a child is kept or dropped by its own
-parent alone, the top level is split by parents: each task generates and
-evaluates the children of its own slice of parents.  The graph6 records
-the census prints are canonical, so its document does not depend on how
-a class was labelled or which task found it.
+parent alone, the top level is split by parents: each task tallies the
+children of its own slice of parents into a table, and the tables are
+merged.  The census prints canonical graph6 records, so its document does
+not depend on how a class was labelled or which task found it.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .exact import _zero_forcing_value, failed_zero_forcing_number
-from .graph6_io import _graph6_of_bits, _pack_bits, parse_graph6, write_graph6
+from .graph6_io import _graph6_of_bits, _pack_bits
 from .graph_core import Graph, is_connected
 
 CANON_MAX = 16
@@ -140,16 +141,10 @@ def _leaves(n: int, adj: tuple[int, ...]) -> list[list[int]]:
     return leaves
 
 
-def _canon_key(n: int, adj: tuple[int, ...]) -> int:
-    """Minimum packed adjacency string over the refinement search tree:
-    equal keys iff isomorphic graphs."""
-    return min(_pack_bits(adj, _cells_order(cells)) for cells in _leaves(n, adj))
-
-
 def _canon_bits(n: int, adj: tuple[int, ...]) -> tuple[int, list[int], list[list[int]]]:
-    """The canonical key, the vertex order of the first leaf that reaches
-    it, and generators of the automorphism group, each a list image with
-    image[u] the image of u.
+    """The canonical key (least packed adjacency string over the tree; equal
+    iff isomorphic), the vertex order of the first leaf that reaches it, and
+    automorphism group generators, each a list image with image[u] the image of u.
 
     The tree is searched in full, so every automorphism maps the first
     best leaf to a best leaf; it is the map between their vertex orders
@@ -189,7 +184,7 @@ def canonical_form(g: Graph) -> str:
     isomorphic graphs."""
     if g.n > CANON_MAX:
         raise ValueError(f"canonical labeling capped at {CANON_MAX} vertices")
-    return _graph6_of_bits(g.n, _canon_key(g.n, g.adj))
+    return _graph6_of_bits(g.n, _canon_bits(g.n, g.adj)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,7 @@ def generate_graphs(n: int) -> Iterator[Graph]:
 
 @dataclass(frozen=True)
 class GraphRecord:
-    """Exact values for one connected graph class."""
+    """Exact values for one connected class, as check_record reads them."""
 
     graph6: str
     n: int
@@ -421,9 +416,9 @@ class CensusTable:
 
     max_n: int
     k_max: int
-    f_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    e_counts: dict[tuple[int, int], int] = field(default_factory=dict)
-    connected_totals: dict[int, int] = field(default_factory=dict)
+    f_counts: Counter[tuple[int, int]] = field(default_factory=Counter)
+    e_counts: Counter[tuple[int, int]] = field(default_factory=Counter)
+    connected_totals: Counter[int] = field(default_factory=Counter)
     violations: list[Finding] = field(default_factory=list)
     exemplars: dict[tuple[int, int], list[str]] = field(default_factory=dict)
 
@@ -433,26 +428,36 @@ class CensusTable:
     def e_total(self, k: int) -> int:
         return sum(c for (kk, _), c in self.e_counts.items() if kk == k)
 
-    def add(self, record: GraphRecord) -> None:
-        """Tally one record.  An exemplar or a finding keeps the canonical
-        form of the record's graph, not the record's own labeling."""
-        self.connected_totals[record.n] = self.connected_totals.get(record.n, 0) + 1
-        k = record.failed
+    def add(self, g: Graph, zero: int, failed: int) -> None:
+        """Tally one connected class from its two values.  An exemplar or a
+        finding keeps the canonical form of g, not g's own labeling."""
+        n, k = g.n, failed
+        self.connected_totals[n] += 1
         exemplar = False
         if 1 <= k <= self.k_max:
-            self.f_counts[(k, record.n)] = self.f_counts.get((k, record.n), 0) + 1
-            if record.zero == k:
-                self.e_counts[(k, record.n)] = self.e_counts.get((k, record.n), 0) + 1
+            self.f_counts[(k, n)] += 1
+            if zero == k:
+                self.e_counts[(k, n)] += 1
                 exemplar = True
-        findings = check_record(record)
+        # a finding takes the canonical form below, so no graph6 is written here
+        findings = check_record(GraphRecord("", n, zero, failed))
         if exemplar or findings:
-            canon = canonical_form(parse_graph6(record.graph6))
+            canon = canonical_form(g)
             if exemplar:
-                self.exemplars.setdefault((k, record.n), []).append(canon)
+                self.exemplars.setdefault((k, n), []).append(canon)
             self.violations.extend(replace(f, graph6=canon) for f in findings)
 
+    def merge(self, other: CensusTable) -> None:
+        """Add the tallies of a table over other classes."""
+        self.f_counts.update(other.f_counts)
+        self.e_counts.update(other.e_counts)
+        self.connected_totals.update(other.connected_totals)
+        self.violations.extend(other.violations)
+        for cell, items in other.exemplars.items():
+            self.exemplars.setdefault(cell, []).extend(items)
+
     def finalize(self) -> None:
-        """Deterministic ordering of list-valued fields."""
+        """Deterministic ordering of list-valued fields, in any merge order."""
         self.violations.sort(key=lambda f: (f.n, f.kind, f.graph6))
         for cell in self.exemplars.values():
             cell.sort()
@@ -461,22 +466,20 @@ class CensusTable:
         """Tab-separated table: one row per tallied value, columns by n."""
         ns = list(range(1, self.max_n + 1))
         lines = ["\t".join(["quantity"] + [f"n={n}" for n in ns] + ["total"])]
-        for k in range(1, self.k_max + 1):
-            row = [self.f_counts.get((k, n), 0) for n in ns]
-            lines.append("\t".join([f"F={k}"] + [str(c) for c in row] + [str(sum(row))]))
-        for k in range(1, self.k_max + 1):
-            row = [self.e_counts.get((k, n), 0) for n in ns]
-            lines.append("\t".join([f"F=Z={k}"] + [str(c) for c in row] + [str(sum(row))]))
-        totals = [self.connected_totals.get(n, 0) for n in ns]
+        for label, counts in (("F", self.f_counts), ("F=Z", self.e_counts)):
+            for k in range(1, self.k_max + 1):
+                row = [counts[(k, n)] for n in ns]
+                lines.append("\t".join([f"{label}={k}"] + [str(c) for c in row] + [str(sum(row))]))
+        totals = [self.connected_totals[n] for n in ns]
         lines.append("\t".join(["connected"] + [str(c) for c in totals] + [str(sum(totals))]))
         return "\n".join(lines) + "\n"
 
     def to_document(self) -> dict:
         """JSON-ready structured document with stable key order."""
-        def nest(counts: dict[tuple[int, int], int]) -> dict[str, dict[str, int]]:
-            out: dict[str, dict[str, int]] = {}
-            for (k, n), c in sorted(counts.items()):
-                out.setdefault(str(k), {})[str(n)] = c
+        def nest(cells: dict[tuple[int, int], Any]) -> dict[str, dict[str, Any]]:
+            out: dict[str, dict[str, Any]] = {}
+            for (k, n), value in sorted(cells.items()):
+                out.setdefault(str(k), {})[str(n)] = value
             return out
 
         return {
@@ -494,14 +497,7 @@ class CensusTable:
                 {"kind": f.kind, "graph6": f.graph6, "n": f.n, "detail": f.detail}
                 for f in self.violations
             ],
-            "exemplars": {
-                str(k): {
-                    str(n): self.exemplars[(k, n)]
-                    for (kk, n) in sorted(self.exemplars)
-                    if kk == k
-                }
-                for k in sorted({k for k, _ in self.exemplars})
-            },
+            "exemplars": nest(self.exemplars),
             # Always empty, since nothing is read; zeroforcing-census/1 keeps the key.
             "read_errors": [],
         }
@@ -514,25 +510,23 @@ class CensusTable:
 # Running a census.
 
 
-def _evaluate(g: Graph) -> GraphRecord:
-    zero = _zero_forcing_value(g)
-    failed = failed_zero_forcing_number(g).value
-    return GraphRecord(write_graph6(g), g.n, zero, failed)
-
-
-def _shard(task: tuple[tuple[Graph, ...], int]) -> list[GraphRecord]:
-    """The records of the connected n-vertex classes in one slice of a
+def _shard(task: tuple[tuple[Graph, ...], int, int]) -> CensusTable:
+    """The tallies of the connected n-vertex classes in one slice of a
     built-in level: the children of a slice of (n-1)-vertex parents, which
     are generated here, or a slice of n-vertex classes already generated."""
-    graphs, n = task
+    graphs, n, k_max = task
     if graphs[0].n < n:
         # generated whole first: resuming the generator between evaluations
         # made the n <= 8 census about 6 % slower
         graphs = tuple(_novel_extensions(graphs, n))
-    return [_evaluate(g) for g in graphs if is_connected(g)]
+    table = CensusTable(max_n=n, k_max=k_max)
+    for g in graphs:
+        if is_connected(g):
+            table.add(g, _zero_forcing_value(g), failed_zero_forcing_number(g).value)
+    return table
 
 
-def _level_slices(top: int) -> Iterator[tuple[tuple[Graph, ...], int]]:
+def _level_slices(top: int, k_max: int) -> Iterator[tuple[tuple[Graph, ...], int, int]]:
     """The levels 1..top as _shard tasks of SLICE graphs each.  The top
     level is sliced by its parents, _classes(top - 1), whose cache holds
     every level below it, so each class is generated once: a level below
@@ -540,7 +534,16 @@ def _level_slices(top: int) -> Iterator[tuple[tuple[Graph, ...], int]]:
     for n in range(1, top + 1):
         graphs = _classes(n - 1) if n == top > 1 else _classes(n)
         for i in range(0, len(graphs), SLICE):
-            yield graphs[i:i + SLICE], n
+            yield graphs[i:i + SLICE], n, k_max
+
+
+def check_census_args(max_n: int, k_max: int, jobs: int) -> None:
+    """Raise ValueError when max_n, k_max or jobs is below 1, or max_n > BUILTIN_MAX."""
+    for name, value in (("max_n", max_n), ("k_max", k_max), ("jobs", jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if max_n > BUILTIN_MAX:
+        raise ValueError(f"built-in generation covers n = 1..{BUILTIN_MAX}, not max_n={max_n}")
 
 
 def run_census(max_n: int, k_max: int = 4, jobs: int = 1) -> CensusTable:
@@ -551,23 +554,18 @@ def run_census(max_n: int, k_max: int = 4, jobs: int = 1) -> CensusTable:
     of its parents, each slice generating and evaluating its own children,
     and the levels below it from the cache those parents fill.  The tasks
     run in min(jobs, os.cpu_count()) forked workers, or in this process
-    when that is 1; the output is identical for any job count.  Raises
-    ValueError when max_n, k_max or jobs is below 1, or max_n is above
-    BUILTIN_MAX.
+    when that is 1, and each returns its slice's tallies as a CensusTable
+    for this process to merge; the output is identical for any job count.
+    Raises ValueError as check_census_args does.
     """
-    for name, value in (("max_n", max_n), ("k_max", k_max), ("jobs", jobs)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if max_n > BUILTIN_MAX:
-        raise ValueError(f"built-in generation covers n = 1..{BUILTIN_MAX}, not max_n={max_n}")
+    check_census_args(max_n, k_max, jobs)
     table = CensusTable(max_n=max_n, k_max=k_max)
-    tasks = _level_slices(max_n)
+    tasks = _level_slices(max_n, k_max)
     workers = min(jobs, os.cpu_count() or 1)
     pool = multiprocessing.get_context("fork").Pool(workers) if workers > 1 else None
     try:
-        for records in map(_shard, tasks) if pool is None else pool.imap(_shard, tasks):
-            for record in records:
-                table.add(record)
+        for part in map(_shard, tasks) if pool is None else pool.imap(_shard, tasks):
+            table.merge(part)
     finally:
         if pool is not None:
             pool.close()

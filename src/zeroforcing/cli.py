@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Sequence
 
-from .census import run_census
+from .census import check_census_args, run_census
 from .exact import (
     EXACT_CAP_DEFAULT,
     ExactCapExceeded,
@@ -194,8 +194,9 @@ def _run_graph_command(args, build) -> int:
 
 def _run_census(args) -> int:
     try:
-        # Opened first, so that an unwritable path fails before the census runs;
-        # append mode keeps an earlier document if the census then fails.
+        # The flags, then the output path, are checked before the census runs, so a
+        # rejected census creates no file; append mode keeps an earlier document.
+        check_census_args(args.max_n, args.k_max, args.jobs)
         with open(args.output, "a") if args.output else contextlib.nullcontext() as out:
             table = run_census(max_n=args.max_n, k_max=args.k_max, jobs=args.jobs)
             if out is not None:

@@ -206,9 +206,9 @@ def test_check_record_flags_zero_above_failed_plus_one():
 
 def test_table_tallies_and_exemplars():
     table = CensusTable(max_n=4, k_max=2)
-    table.add(GraphRecord(graph6="Bg", n=3, zero=1, failed=1))
-    table.add(GraphRecord(graph6="Bw", n=3, zero=2, failed=1))
-    table.add(GraphRecord(graph6="C~", n=4, zero=3, failed=2))
+    table.add(parse_graph6("Bg"), 1, 1)
+    table.add(parse_graph6("Bw"), 2, 1)
+    table.add(parse_graph6("C~"), 3, 2)
     table.finalize()
     assert table.f_counts[(1, 3)] == 2
     assert table.e_counts[(1, 3)] == 1
@@ -217,7 +217,7 @@ def test_table_tallies_and_exemplars():
     # exemplars keep the canonical record: BW is the path Bg relabeled
     assert table.exemplars[(1, 3)] == ["BW"] == [canonical_form(path_graph(3))]
     assert table.connected_totals[3] == 2
-    table.add(GraphRecord(graph6="Bg", n=3, zero=1, failed=2))
+    table.add(parse_graph6("Bg"), 1, 2)
     assert [(f.kind, f.graph6) for f in table.violations] == [("upper-bound", "BW")]
 
 
@@ -302,6 +302,29 @@ def test_census_is_identical_at_uneven_job_counts(monkeypatch):
         parallel = run_census(max_n=7, k_max=4, jobs=jobs)
         assert parallel.to_json() == serial.to_json()
         assert parallel.to_text_table() == serial.to_text_table()
+
+
+def test_census_tables_merge_in_any_order():
+    parts = [census._shard(task) for task in census._level_slices(7, 4)]
+    table = CensusTable(max_n=7, k_max=4)
+    for part in reversed(parts):
+        table.merge(part)
+    table.finalize()
+    assert table.to_json() == run_census(max_n=7, k_max=4).to_json()
+
+
+def test_findings_from_forked_workers_are_canonical(monkeypatch):
+    # Z = n > F + 1 plants a zero-bound finding in every class with n >= 2;
+    # the forked workers inherit the patch
+    monkeypatch.setattr(census, "_zero_forcing_value", lambda g: g.n)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run_census(max_n=6, k_max=4, jobs=1)
+    forked = run_census(max_n=6, k_max=4, jobs=2)
+    assert forked.to_json() == serial.to_json()
+    assert len(forked.violations) == sum(forked.connected_totals.values()) - 1
+    for finding in forked.violations:
+        assert finding.kind == "zero-bound"
+        assert finding.graph6 == canonical_form(parse_graph6(finding.graph6))
 
 
 def test_census_generates_each_level_once(monkeypatch):

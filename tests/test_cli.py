@@ -12,8 +12,8 @@ from zeroforcing import (
     ConstructionError,
     ExactResult,
     Finding,
-    GraphRecord,
     WitnessReport,
+    parse_graph6,
     write_graph6,
 )
 from zeroforcing import cli
@@ -245,6 +245,20 @@ def test_census_output_opened_before_the_run(tmp_path, monkeypatch, capsys):
     assert str(path) in captured.err and captured.out == ""
 
 
+def test_rejected_census_creates_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_census", lambda **kw: pytest.fail("census ran"))
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier document\n")
+    for flags in (["--max-n", "11"], ["--max-n", "3", "--k-max", "0"],
+                  ["--max-n", "3", "--jobs", "0"]):
+        for path in (tmp_path / "new.json", kept):
+            assert run(["census", *flags, "--output", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err and captured.out == ""
+        assert not (tmp_path / "new.json").exists()
+        assert kept.read_text() == "earlier document\n"
+
+
 def test_census_missing_source(capsys):
     assert run(["census", "--max-n", "11"]) == 1
     captured = capsys.readouterr()
@@ -254,7 +268,7 @@ def test_census_missing_source(capsys):
 
 def test_census_violation_exits_2(monkeypatch, capsys):
     table = CensusTable(max_n=3, k_max=1)
-    table.add(GraphRecord(graph6="Bw", n=3, zero=2, failed=1))
+    table.add(parse_graph6("Bw"), 2, 1)
     table.violations.append(
         Finding(kind="lower-bound", graph6="Bw", n=3, detail="planted"))
     table.finalize()
