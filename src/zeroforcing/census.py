@@ -5,13 +5,18 @@ in nauty's geng): each (n-1)-vertex class is extended by a new vertex over
 one neighborhood from each orbit of its automorphism group, and a child is
 kept only when the new vertex lies in the orbit of the vertex a canonical
 rule would delete from it, so each class comes from one parent once, with
-no set of every class seen so far.  Only children where the new vertex
-ties for that rule are labelled, and each parent once.  Canonical forms
-come from equitable-partition refinement on degrees plus backtracking over
-the refined cells, minimizing the packed adjacency string of graph6_io
-(`_pack_bits`), so the canonical form of a graph is the graph6 record of
-that minimum; the leaves that reach it give the automorphism group, which
-only generation asks for.
+no set of every class seen so far.  Each parent is labelled once, for its
+automorphism group.  A child is labelled only when the new vertex ties for
+that rule and shares its cell of the refined degree partition with
+another vertex; the cell alone decides the other ties.  Canonical forms
+come from a nauty-style search: equitable refinement of the degree
+partition, split only by the cells the previous pass created, then
+individualization of the first cell of more than one vertex, depth-first,
+with subtrees skipped when an automorphism found on the way maps them
+onto ground already searched.  The key is the least packed adjacency
+string of graph6_io (`_pack_bits`) over the leaves of the whole tree, so
+the canonical form of a graph is the graph6 record of that minimum; the
+automorphisms found generate the group, which only generation asks for.
 
 A census walks the connected classes per vertex count up to BUILTIN_MAX
 (10, where the last class with failed number 4 appears), computes the exact
@@ -51,39 +56,80 @@ SLICE = 32
 # Canonical forms.
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
-    """Split cells by neighbor counts into every cell until stable.
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Split cells by their neighbor counts into the splitters until stable.
 
-    The cell order (and the signature-sorted order of the pieces a cell
-    splits into) is isomorphism-invariant.
+    The result is that of full passes (split every cell by each vertex's
+    tuple of counts against every cell, pieces in ascending tuple order,
+    until no cell splits; tests/naive.py keeps that reference), provided
+    every cell of cells has uniform counts against every cell but the
+    splitters.  After a pass, each cell has uniform counts against every
+    cell the pass started from, so the next pass need only split by the
+    pieces the pass created, and of the pieces of one cell the last adds
+    nothing: the counts against all of them sum to a uniform count.  A
+    cell split by one splitter at a time, smaller count first, puts its
+    pieces in the lexicographic order of the count tuples.  The counts
+    against a splitter are kept as bit planes, most significant first, so
+    each plane splits a piece with two bit operations (outside it first),
+    and a singleton splitter {s} has the one plane adj[s].
     """
-    while True:
+    while splitters:
+        planes: list[int] = []
+        for s in splitters:
+            if not s & (s - 1):
+                planes.append(adj[s.bit_length() - 1])
+                continue
+            counts: list[int] = []  # counts[i]: the vertices whose count has bit i
+            while s:
+                bit = s & -s
+                s ^= bit
+                carry = adj[bit.bit_length() - 1]
+                for i, plane in enumerate(counts):
+                    counts[i] = plane ^ carry
+                    carry &= plane
+                    if not carry:
+                        break
+                else:
+                    counts.append(carry)
+            planes.extend(reversed(counts))
         out: list[int] = []
-        changed = False
+        fresh: list[int] = []
         for cell in cells:
             if not cell & (cell - 1):
                 out.append(cell)
                 continue
-            buckets: dict[tuple[int, ...], int] = {}
-            rem = cell
-            while rem:
-                bit = rem & -rem
-                rem ^= bit
-                row = adj[bit.bit_length() - 1]
-                sig = tuple([(row & c).bit_count() for c in cells])
-                if sig in buckets:
-                    buckets[sig] |= bit
-                else:
-                    buckets[sig] = bit
-            if len(buckets) == 1:
-                out.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    out.append(buckets[sig])
-        if not changed:
-            return out
+            pieces = [cell]
+            for plane in planes:
+                inside = cell & plane
+                if not inside or inside == cell:
+                    continue
+                split: list[int] = []
+                for p in pieces:
+                    inside = p & plane
+                    if inside and inside != p:
+                        split.append(p ^ inside)
+                        split.append(inside)
+                    else:
+                        split.append(p)
+                pieces = split
+            out.extend(pieces)
+            if len(pieces) > 1:
+                fresh.extend(pieces[:-1])
         cells = out
+        splitters = fresh
+    return cells
+
+
+def _root(n: int, adj: tuple[int, ...]) -> list[int]:
+    """The root of the search tree: the degree partition, in ascending
+    degree, refined.  Every cell holds one vertex key (degree, then sorted
+    neighbor degrees), since the first pass splits by those."""
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    return _refine(adj, cells, cells[:-1])
 
 
 def _homogeneous(adj: tuple[int, ...], cells: list[int]) -> bool:
@@ -111,72 +157,120 @@ def _cells_order(cells: list[int]) -> list[int]:
     return order
 
 
-def _leaves(n: int, adj: tuple[int, ...]) -> list[list[int]]:
-    """The cells of each leaf of the refinement search tree, in search
-    order: a leaf is discrete, or homogeneous with some cell of more than
-    one vertex.  The tree is isomorphism-invariant."""
-    by_degree: dict[int, int] = {}
-    for v in range(n):
-        d = adj[v].bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    leaves: list[list[int]] = []
+def _canon_bits(n: int, adj: tuple[int, ...],
+                root: list[int] | None = None) -> tuple[int, list[int], list[list[int]]]:
+    """The canonical key (least packed adjacency string over the leaves of
+    the refinement search tree; equal iff isomorphic), the vertex order of
+    the first leaf that reaches it, and automorphism group generators, each
+    a list image with image[u] the image of u.  root, if given, is
+    _root(n, adj).
 
-    def search(cells: list[int]) -> None:
-        target = -1
-        for i, cell in enumerate(cells):
-            if cell & (cell - 1):
-                target = i
-                break
+    A node of the tree is an equitable ordered partition.  It is a leaf
+    when discrete, or homogeneous with some cell of more than one vertex
+    (then every cell-respecting order gives one string; the order inside a
+    cell is ascending).  Otherwise each vertex of its first cell of more
+    than one vertex, in ascending order, gives a child: that vertex
+    individualized in front of the rest of its cell, refined.  The tree is
+    isomorphism-invariant: an automorphism that fixes a node's
+    individualized vertices maps the subtree of one child onto that of
+    another, leaf strings included.  The search is depth-first and skips
+    only subtrees that an automorphism found so far maps onto ground
+    searched before them, so the least string, and the first leaf that
+    reaches it, are those of the whole tree (B. D. McKay and A. Piperno,
+    "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).
+    - Orbit pruning.  A child is skipped when the automorphisms found so
+      far that fix its node's individualized vertices map it onto a
+      smaller vertex of the cell, a child already searched.
+    - Back-jumps.  A leaf L with the string of the first leaf or of the
+      best leaf B so far gives the automorphism that maps B's vertex order
+      onto L's.  An individualized vertex stays in place as a singleton,
+      so the automorphism maps the vertex individualized at each level of
+      B's path to the one at the same level of L's path, and so maps one
+      path onto the other level by level.  Below their common ancestor,
+      each node of L's path is then the image of the node of B's path at
+      its level, whose subtree was searched before L's, so the search
+      returns to the common ancestor.
+    The automorphisms found generate the group.  At a homogeneous first
+    leaf, every permutation inside its cells is an automorphism that fixes
+    the individualized vertices, and the swaps of neighbors in a cell
+    generate them.  Going up the first path, take a node and a child x
+    that some automorphism fixing the node's individualized vertices maps
+    the first child onto, and suppose that the found automorphisms fixing
+    them join every such child before x to the first child.  If x was
+    skipped, they join it to a child before it.  Otherwise x's subtree
+    holds an image of the first leaf.  A leaf skipped there is the image,
+    under found automorphisms, of one reached before it in that subtree,
+    so the search either reaches a leaf with the first leaf's string,
+    whose automorphism maps the first child onto x, or leaves the subtree
+    earlier from a leaf with the string of a best leaf under an earlier
+    child, whose automorphism maps that child onto x.  With the stabilizer
+    one level down, these generate the node's stabilizer, and at the root
+    the group.
+    """
+    if root is None:
+        root = _root(n, adj)
+    generators: list[list[int]] = []
+    leaves: list[tuple[int, list[int], list[int]]] = []  # the first leaf, then the best
+
+    def leaf(cells: list[int], path: list[int]) -> int:
+        """Compare a leaf with the first and the best; return the depth to
+        resume at."""
+        order = _cells_order(cells)
+        bits = _pack_bits(adj, order)
+        if not leaves:
+            leaves.extend([(bits, order, path)] * 2)
+            for cell in cells:
+                if not cell & (cell - 1):
+                    continue
+                members = _cells_order([cell])
+                for u, w in zip(members, members[1:]):
+                    image = list(range(n))
+                    image[u], image[w] = w, u
+                    generators.append(image)
+        else:
+            for bits0, order0, path0 in leaves:
+                if bits == bits0:
+                    image = [0] * n
+                    for u, w in zip(order0, order):
+                        image[u] = w
+                    generators.append(image)
+                    # the paths have one length and part at the common ancestor
+                    k = 0
+                    while path0[k] == path[k]:
+                        k += 1
+                    return k
+            if bits < leaves[1][0]:
+                leaves[1] = (bits, order, path)
+        return len(path)
+
+    def search(cells: list[int], path: list[int]) -> int:
+        """Search a node's subtree; return the depth to resume at."""
+        target = next((i for i, cell in enumerate(cells) if cell & (cell - 1)), -1)
         if target == -1 or _homogeneous(adj, cells):
-            leaves.append(cells)
-            return
+            return leaf(cells, path)
+        depth = len(path)
         cell = cells[target]
+        group: list[list[int]] = []  # the automorphisms found that fix path, on sets
+        known = 0
         rem = cell
         while rem:
             bit = rem & -rem
             rem ^= bit
-            search(_refine(adj, cells[:target] + [bit, cell ^ bit] + cells[target + 1:]))
+            if len(generators) > known:
+                group += _on_sets([image for image in generators[known:]
+                                   if all(image[x] == x for x in path)])
+                known = len(generators)
+            if group and min(_subset_orbit(bit, group)) < bit:
+                continue
+            resume = search(_refine(adj, cells[:target] + [bit, cell ^ bit] + cells[target + 1:], [bit]),
+                            path + [bit.bit_length() - 1])
+            if resume < depth:
+                return resume
+        return depth
 
-    search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
-    return leaves
-
-
-def _canon_bits(n: int, adj: tuple[int, ...]) -> tuple[int, list[int], list[list[int]]]:
-    """The canonical key (least packed adjacency string over the tree; equal
-    iff isomorphic), the vertex order of the first leaf that reaches it, and
-    automorphism group generators, each a list image with image[u] the image of u.
-
-    The tree is searched in full, so every automorphism maps the first
-    best leaf to a best leaf; it is the map between their vertex orders
-    composed with a permutation inside the cells of the first best leaf.
-    A homogeneous leaf keeps cells of more than one vertex, and any
-    permutation inside them is an automorphism, generated by the swaps of
-    vertices next to each other in a cell.
-    """
-    best = -1
-    best_leaves: list[tuple[list[int], list[int]]] = []
-    for cells in _leaves(n, adj):
-        order = _cells_order(cells)
-        bits = _pack_bits(adj, order)
-        if best == -1 or bits < best:
-            best, best_leaves = bits, [(order, cells)]
-        elif bits == best:
-            best_leaves.append((order, cells))
-    first, first_cells = best_leaves[0]
-    generators = []
-    if len(best_leaves) > 1:
-        position = [0] * n
-        for i, u in enumerate(first):
-            position[u] = i
-        generators = [[order[i] for i in position] for order, _ in best_leaves[1:]]
-    for cell in first_cells:
-        if cell & (cell - 1):
-            members = _cells_order([cell])
-            for u, w in zip(members, members[1:]):
-                image = list(range(n))
-                image[u], image[w] = w, u
-                generators.append(image)
-    return best, first, generators
+    search(root, [])
+    bits, order, _ = leaves[1]
+    return bits, order, generators
 
 
 def canonical_form(g: Graph) -> str:
@@ -273,9 +367,15 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
     answer alike on a whole orbit and run on its smallest member only.
     Keys are invariant, so m(C) holds only vertices with the largest key:
     a child where v does not hold it is dropped, and one where v alone
-    holds it has m(C) = {v} and is kept unlabelled.  Each parent is
-    labelled once, for its automorphism generators, and each tied child
-    once, for its order and generators.  Parents may carry any labelling.
+    holds it has m(C) = {v} and is kept unlabelled.  A tie is settled
+    from the root partition of C's search (_root) where it can be: every
+    root cell holds one key, and the canonical order lists the root cells
+    in turn, so w* lies in the first root cell that holds v's key, and so
+    does m(C), since the root cells are invariant.  If v is not in that
+    cell, v is not in m(C); if v is alone in it, w* = v.
+    Otherwise C is labelled from that root, for its order and generators.
+    Each parent is labelled once, for its automorphism generators.
+    Parents may carry any labelling.
     """
     v = n - 1
     for parent in parents:
@@ -305,10 +405,15 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
                     continue
                 tied = rival == keys[v]
             if tied:
-                _, order, generators = _canon_bits(n, adj)
-                w = next(u for u in order if keys.get(u) == keys[v])
-                if w != v and 1 << v not in _subset_orbit(1 << w, _on_sets(generators)):
+                root = _root(n, adj)
+                cell = next(c for c in root if keys.get((c & -c).bit_length() - 1) == keys[v])
+                if not cell >> v & 1:
                     continue
+                if cell != 1 << v:
+                    _, order, generators = _canon_bits(n, adj, root)
+                    w = next(u for u in order if cell >> u & 1)
+                    if w != v and 1 << v not in _subset_orbit(1 << w, _on_sets(generators)):
+                        continue
             yield Graph(n, adj)
 
 

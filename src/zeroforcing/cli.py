@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
 
     census = sub.add_parser("census", help="tables over all connected classes")
     census.add_argument("--max-n", type=int, required=True,
-                        help="largest vertex count, 1 to 10; 10 takes about half an hour of CPU")
+                        help="largest vertex count, 1 to 10; 10 takes about 11 min of CPU")
     census.add_argument("--k-max", type=int, default=4)
     census.add_argument("--jobs", type=int, default=1,
                         help="worker processes, at most the core count (default %(default)s)")

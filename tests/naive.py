@@ -84,6 +84,22 @@ def naive_min_fort(adj: list[set[int]]) -> int:
     raise AssertionError("the whole vertex set is always a fort")
 
 
+def naive_refine(adj: list[set[int]], cells: list[set[int]]) -> list[set[int]]:
+    """Equitable refinement by full passes: split every cell by each
+    vertex's tuple of neighbor counts into every cell, the pieces in
+    ascending tuple order, until a pass splits nothing."""
+    while True:
+        out = []
+        for cell in cells:
+            pieces: dict[tuple[int, ...], set[int]] = {}
+            for v in cell:
+                pieces.setdefault(tuple(len(adj[v] & c) for c in cells), set()).add(v)
+            out.extend(pieces[key] for key in sorted(pieces))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
 def naive_components(n: int, adj: list[set[int]]) -> list[set[int]]:
     seen: set[int] = set()
     out = []

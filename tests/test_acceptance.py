@@ -71,6 +71,14 @@ def test_criterion_4_totals(census_n8):
     assert census_n8.e_total(4) == 50
 
 
+# sha256 of the n <= 8 document, `census --max-n 8 --k-max 4 --format structured`
+N8_SHA256 = "e051273eb40b652987de50796ae42967f699f4bc8f2abdaebdf0f30b001c234c"
+
+
+def test_census_n8_document_is_pinned(census_n8):
+    assert hashlib.sha256(census_n8.to_json().encode()).hexdigest() == N8_SHA256
+
+
 def test_criterion_5_bounds_exhaustive(census_n8):
     assert census_n8.violations == []
 
@@ -136,7 +144,7 @@ N10_SHA256 = "dd3578709f3ca923dec52686c499869b82afc729bfc0522a16b01a4b546fb3b9"
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
-                    reason="about 25 min of CPU; set RUN_EXTENDED=1")
+                    reason="about 11 min of CPU; set RUN_EXTENDED=1")
 def test_extended_f4_row():
     # n <= 9 is checked by criterion 9; this adds the one n = 10 class
     table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1)

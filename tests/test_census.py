@@ -17,6 +17,7 @@ from zeroforcing import (
     GraphRecord,
     canonical_form,
     check_record,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     from_edges,
@@ -26,6 +27,7 @@ from zeroforcing import (
     path_graph,
     petersen_graph,
     run_census,
+    vertices_of,
     write_graph6,
 )
 
@@ -33,7 +35,7 @@ from zeroforcing import census
 from zeroforcing.census import _canon_bits, _classes, _novel_extensions, _on_sets, _subset_orbit
 
 from conftest import random_graph
-from naive import are_isomorphic, count_classes_by_dedupe
+from naive import adj_sets, are_isomorphic, count_classes_by_dedupe, naive_refine
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -163,6 +165,59 @@ def test_automorphism_generators_match_networkx():
                     count += 1
                     seen |= _subset_orbit(subset, _on_sets(generators))
             assert count * len(automorphisms) == fixed, write_graph6(g)
+
+
+def _cell_sets(cells):
+    return [set(vertices_of(cell)) for cell in cells]
+
+
+def test_refinement_matches_full_passes():
+    rng = random.Random(43)
+    graphs = [g for n in range(1, 8) for g in generate_graphs(n)]
+    for _ in range(300):
+        graphs.append(random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9)))
+    for g in graphs:
+        adj = adj_sets(g)
+        by_degree = [{v for v in range(g.n) if len(adj[v]) == d} for d in sorted(set(map(len, adj)))]
+        root = census._root(g.n, g.adj)
+        assert _cell_sets(root) == naive_refine(adj, by_degree), write_graph6(g)
+        for i, cell in enumerate(root):
+            for u in vertices_of(cell) if cell & (cell - 1) else ():
+                child = root[:i] + [1 << u, cell ^ 1 << u] + root[i + 1:]
+                refined = census._refine(g.adj, child, [1 << u])
+                assert _cell_sets(refined) == naive_refine(adj, _cell_sets(child)), (write_graph6(g), u)
+
+
+def _hypercube(d):
+    return from_edges(1 << d, [(u, u | 1 << i) for u in range(1 << d) for i in range(d) if not u >> i & 1])
+
+
+# canonical_form of each graph as the unpruned search computed it
+SYMMETRIC_FORMS = [
+    (_hypercube(4), "O?????NKqiLGd_i_X_F_?"),
+    (cycle_graph(16), "O?????B@OSA_I?S?S?E??"),
+    (petersen_graph(), "I?LRCecq?"),
+    (cycle_graph(8), "G?LTE?"),
+    (complete_bipartite(3, 3), "EFz_"),
+    (from_edges(8, [(u, 4 + w) for u in range(4) for w in range(4) if u != w]), "G?]uf?"),
+]
+
+
+@pytest.mark.parametrize("g, form", SYMMETRIC_FORMS, ids=["Q4", "C16", "Petersen", "C8", "K3,3", "K4,4-PM"])
+def test_symmetric_graphs_keep_their_forms_with_few_generators(g, form):
+    assert canonical_form(g) == form
+    _, _, generators = _canon_bits(g.n, g.adj)
+    assert len(generators) <= g.n - 1
+    if g.n <= 8:
+        # Burnside: the orbits on vertex subsets average 2^cycles over Aut(G)
+        automorphisms = list(_networkx_automorphisms(g))
+        fixed = sum(2 ** len(_vertex_orbits(g.n, p.items())) for p in automorphisms)
+        seen, count = set(), 0
+        for subset in range(1 << g.n):
+            if subset not in seen:
+                count += 1
+                seen |= _subset_orbit(subset, _on_sets(generators))
+        assert count * len(automorphisms) == fixed
 
 
 def test_canonical_form_rejects_graphs_above_the_cap():
