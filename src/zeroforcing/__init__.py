@@ -8,12 +8,10 @@ all connected isomorphism classes for small vertex counts.
 
 from .census import (
     BUILTIN_MAX,
-    CANON_MAX,
     CensusTable,
     Finding,
-    GraphRecord,
     canonical_form,
-    check_record,
+    check_values,
     generate_graphs,
     run_census,
 )
@@ -58,7 +56,6 @@ from .witness import (
 
 __all__ = [
     "BUILTIN_MAX",
-    "CANON_MAX",
     "CensusTable",
     "ConstructionError",
     "EXACT_CAP_DEFAULT",
@@ -67,10 +64,9 @@ __all__ = [
     "Finding",
     "Graph",
     "Graph6Error",
-    "GraphRecord",
     "WitnessReport",
     "canonical_form",
-    "check_record",
+    "check_values",
     "complete_bipartite",
     "complete_graph",
     "condense_path",

@@ -35,7 +35,7 @@ import json
 import multiprocessing
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
@@ -43,12 +43,12 @@ from .exact import _zero_forcing_value, failed_zero_forcing_number
 from .graph6_io import _graph6_of_bits, _pack_bits
 from .graph_core import Graph, is_connected
 
-CANON_MAX = 16
 BUILTIN_MAX = 10
-# Graphs per census task.  On 2 cores, a slice of 32 n = 7 parents takes
-# 0.05 s of generation and evaluation on average and 0.1 s at most,
-# against about 0.15 ms of pool traffic per task, and the n = 8 level
-# still splits into 33 tasks, so no worker idles long at the end.
+# Graphs per census task.  On a 2-core machine, a slice of 32 n = 7
+# parents takes 0.013 s of generation and evaluation on average and
+# 0.027 s at most (32 n = 8 parents: 0.029 s and 0.13 s), against 0.1 to
+# 0.4 ms of pool traffic per task, and the n = 8 level still splits into
+# 33 tasks, so no worker idles long at the end.
 SLICE = 32
 
 
@@ -276,8 +276,6 @@ def _canon_bits(n: int, adj: tuple[int, ...],
 def canonical_form(g: Graph) -> str:
     """The graph6 record of the canonical labeling: equal records iff
     isomorphic graphs."""
-    if g.n > CANON_MAX:
-        raise ValueError(f"canonical labeling capped at {CANON_MAX} vertices")
     return _graph6_of_bits(g.n, _canon_bits(g.n, g.adj)[0])
 
 
@@ -441,17 +439,7 @@ def generate_graphs(n: int) -> Iterator[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# Census records, findings, tables.
-
-
-@dataclass(frozen=True)
-class GraphRecord:
-    """Exact values for one connected class, as check_record reads them."""
-
-    graph6: str
-    n: int
-    zero: int
-    failed: int
+# Census findings and tables.
 
 
 @dataclass(frozen=True)
@@ -464,48 +452,21 @@ class Finding:
     detail: str
 
 
-def check_record(record: GraphRecord) -> list[Finding]:
-    """Check one connected graph's values against the proven bounds and
-    report (not assert) any conjecture counterexample."""
+def check_values(n: int, zero: int, failed: int) -> list[tuple[str, str]]:
+    """Check one connected n-vertex graph's two values against the proven
+    bounds and report (not assert) any conjecture counterexample, as
+    (kind, detail) pairs."""
     out = []
-    floor_bound = (record.n - 1) // 2
-    if record.failed < floor_bound:
-        out.append(
-            Finding(
-                "lower-bound",
-                record.graph6,
-                record.n,
-                f"failed number {record.failed} below floor((n-1)/2) = {floor_bound}",
-            )
-        )
-    if record.n >= 2 and record.failed > record.n - 2:
-        out.append(
-            Finding(
-                "upper-bound",
-                record.graph6,
-                record.n,
-                f"failed number {record.failed} above n - 2 = {record.n - 2}",
-            )
-        )
-    if record.zero > record.failed + 1:
+    floor_bound = (n - 1) // 2
+    if failed < floor_bound:
+        out.append(("lower-bound", f"failed number {failed} below floor((n-1)/2) = {floor_bound}"))
+    if n >= 2 and failed > n - 2:
+        out.append(("upper-bound", f"failed number {failed} above n - 2 = {n - 2}"))
+    if zero > failed + 1:
         # every set of F + 1 vertices forces, so Z <= F + 1
-        out.append(
-            Finding(
-                "zero-bound",
-                record.graph6,
-                record.n,
-                f"zero forcing number {record.zero} above F + 1 = {record.failed + 1}",
-            )
-        )
-    if record.failed == record.zero and record.n > record.failed + 4:
-        out.append(
-            Finding(
-                "conjecture",
-                record.graph6,
-                record.n,
-                f"equal numbers {record.failed} with n = {record.n} > k + 4",
-            )
-        )
+        out.append(("zero-bound", f"zero forcing number {zero} above F + 1 = {failed + 1}"))
+    if failed == zero and n > failed + 4:
+        out.append(("conjecture", f"equal numbers {failed} with n = {n} > k + 4"))
     return out
 
 
@@ -514,9 +475,11 @@ class CensusTable:
     """Tallies of connected classes per (value, n) cell.
 
     f_counts[(k, n)] counts classes with failed number k; e_counts[(k, n)]
-    counts those whose zero forcing number also equals k.  Totals count all
-    connected classes per n, including those with values above k_max.
-    exemplars retains the graph6 strings behind each e_counts cell.
+    counts those whose zero forcing number also equals k.  connected_totals
+    counts all connected classes per n, including those with values above
+    k_max; class_totals counts every class per n, connected or not, as
+    _shard generates it, and is not in the document.  exemplars retains
+    the graph6 strings behind each e_counts cell.
     """
 
     max_n: int
@@ -524,6 +487,7 @@ class CensusTable:
     f_counts: Counter[tuple[int, int]] = field(default_factory=Counter)
     e_counts: Counter[tuple[int, int]] = field(default_factory=Counter)
     connected_totals: Counter[int] = field(default_factory=Counter)
+    class_totals: Counter[int] = field(default_factory=Counter)
     violations: list[Finding] = field(default_factory=list)
     exemplars: dict[tuple[int, int], list[str]] = field(default_factory=dict)
 
@@ -544,19 +508,19 @@ class CensusTable:
             if zero == k:
                 self.e_counts[(k, n)] += 1
                 exemplar = True
-        # a finding takes the canonical form below, so no graph6 is written here
-        findings = check_record(GraphRecord("", n, zero, failed))
+        findings = check_values(n, zero, failed)
         if exemplar or findings:
             canon = canonical_form(g)
             if exemplar:
                 self.exemplars.setdefault((k, n), []).append(canon)
-            self.violations.extend(replace(f, graph6=canon) for f in findings)
+            self.violations.extend(Finding(kind, canon, n, detail) for kind, detail in findings)
 
     def merge(self, other: CensusTable) -> None:
         """Add the tallies of a table over other classes."""
         self.f_counts.update(other.f_counts)
         self.e_counts.update(other.e_counts)
         self.connected_totals.update(other.connected_totals)
+        self.class_totals.update(other.class_totals)
         self.violations.extend(other.violations)
         for cell, items in other.exemplars.items():
             self.exemplars.setdefault(cell, []).extend(items)
@@ -616,15 +580,17 @@ class CensusTable:
 
 
 def _shard(task: tuple[tuple[Graph, ...], int, int]) -> CensusTable:
-    """The tallies of the connected n-vertex classes in one slice of a
-    built-in level: the children of a slice of (n-1)-vertex parents, which
-    are generated here, or a slice of n-vertex classes already generated."""
+    """The tallies of one slice of a built-in level, its class count and
+    the values of its connected classes: the children of a slice of
+    (n-1)-vertex parents, which are generated here, or a slice of n-vertex
+    classes already generated."""
     graphs, n, k_max = task
     if graphs[0].n < n:
         # generated whole first: resuming the generator between evaluations
         # made the n <= 8 census about 6 % slower
         graphs = tuple(_novel_extensions(graphs, n))
     table = CensusTable(max_n=n, k_max=k_max)
+    table.class_totals[n] = len(graphs)
     for g in graphs:
         if is_connected(g):
             table.add(g, _zero_forcing_value(g), failed_zero_forcing_number(g).value)

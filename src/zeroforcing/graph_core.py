@@ -87,21 +87,6 @@ class Graph:
         adj[v] |= 1 << u
         return Graph(self.n, tuple(adj))
 
-    def validate(self) -> None:
-        """Raise ValueError unless the adjacency is a simple graph."""
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length does not match vertex count")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
-                raise ValueError(f"vertex {v} has neighbors outside the graph")
-            if row >> v & 1:
-                raise ValueError(f"vertex {v} has a self-loop")
-            for u in iter_bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"edge ({v}, {u}) is not symmetric")
-
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, validating every endpoint."""

@@ -57,16 +57,17 @@ def verify_witness(g: Graph, report: WitnessReport) -> tuple[str, ...]:
 
     Returns the failures found; an empty tuple means the report holds.
     """
-    inside = report.filled & ~g.full == 0
     failures = []
-    if not (inside and derived_set(g, report.filled) != g.full):
+    if report.filled & ~g.full:
+        failures.append("set has vertices outside the graph")
+    elif derived_set(g, report.filled) == g.full:
         failures.append("set forces the whole graph")
     if report.filled.bit_count() < report.guaranteed_bound:
         failures.append(
             f"set has {report.filled.bit_count()} vertices, below the bound "
             f"{report.guaranteed_bound}"
         )
-    if not (inside and report.filled != g.full):
+    if report.filled == g.full:
         failures.append("set is not a proper subset of the vertices")
     return tuple(failures)
 

@@ -2,9 +2,10 @@
 
 Run with -v to get one pass/fail line per criterion.  The n <= 8 census
 behind criteria 2-7 runs once per session (see conftest); criterion 9
-runs the n <= 9 census at two jobs and checks it against every class.
-The n = 10 census, which completes the F = 4 row, is gated behind
-RUN_EXTENDED=1.
+runs the n <= 9 census at two jobs and checks its class counts, all and
+connected, and its tables.  The graph6 round trips of every class with
+n <= 8 are in test_graph6_io.  The n = 10 census, which completes the
+F = 4 row, is gated behind RUN_EXTENDED=1.
 """
 
 import hashlib
@@ -14,18 +15,16 @@ import time
 import pytest
 
 from zeroforcing import (
+    check_values,
     failed_zero_forcing_number,
     generate_graphs,
     is_connected,
-    parse_graph6,
     path_graph,
     run_census,
     verify_witness,
     witness_general,
     write_graph6,
     zero_forcing_number,
-    GraphRecord,
-    check_record,
 )
 from naive import count_classes_by_dedupe
 
@@ -99,8 +98,7 @@ def test_criterion_6_constructive_soundness():
 
 def test_criterion_7_conjecture_detector(census_n8):
     assert not any(f.kind == "conjecture" for f in census_n8.violations)
-    planted = GraphRecord(graph6="H???????", n=9, zero=2, failed=2)
-    assert any(f.kind == "conjecture" for f in check_record(planted))
+    assert any(kind == "conjecture" for kind, _ in check_values(9, zero=2, failed=2))
 
 
 def test_criterion_8_property_suites():
@@ -118,15 +116,10 @@ def test_criterion_9_infrastructure(census_n8):
     # as `census --max-n 9 --jobs 2` runs it: n = 9 generated in the workers
     table = run_census(max_n=9, k_max=4, jobs=2)
     for n in range(1, 10):
-        total = connected = 0
-        for g in generate_graphs(n):
-            assert parse_graph6(write_graph6(g)) == g
-            total += 1
-            connected += is_connected(g)
-        assert (total, connected) == (count_classes_by_dedupe(n) if n <= 6 else known[n])
-        assert table.connected_totals[n] == connected
+        counts = (table.class_totals[n], table.connected_totals[n])
+        assert counts == (count_classes_by_dedupe(n) if n <= 6 else known[n])
         if n <= 8:
-            assert census_n8.connected_totals[n] == connected
+            assert (census_n8.class_totals[n], census_n8.connected_totals[n]) == counts
     for k in range(1, 5):
         for n in range(1, 10):
             assert table.f_counts.get((k, n), 0) == F_TABLE[k].get(n, 0), (k, n)
@@ -148,6 +141,7 @@ N10_SHA256 = "dd3578709f3ca923dec52686c499869b82afc729bfc0522a16b01a4b546fb3b9"
 def test_extended_f4_row():
     # n <= 9 is checked by criterion 9; this adds the one n = 10 class
     table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1)
+    assert table.class_totals[10] == 12005168  # A000088
     assert table.connected_totals[10] == 11716571  # A001349
     assert table.f_counts.get((4, 10), 0) == 1
     assert table.f_total(4) == 641

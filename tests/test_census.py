@@ -14,9 +14,8 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from zeroforcing import (
     CensusTable,
     Finding,
-    GraphRecord,
     canonical_form,
-    check_record,
+    check_values,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -220,11 +219,6 @@ def test_symmetric_graphs_keep_their_forms_with_few_generators(g, form):
         assert count * len(automorphisms) == fixed
 
 
-def test_canonical_form_rejects_graphs_above_the_cap():
-    with pytest.raises(ValueError, match="capped at 16"):
-        canonical_form(path_graph(17))
-
-
 def test_classes_from_distinct_parents_are_distinct():
     # canonical deletion deduplicates within one parent only
     for n in range(2, 8):
@@ -240,23 +234,18 @@ def test_generate_rejects_large_n():
             list(generate_graphs(n))
 
 
-def test_check_record_kinds():
-    low = GraphRecord(graph6="X", n=9, zero=2, failed=2)
-    kinds = {f.kind for f in check_record(low)}
+def test_check_values_kinds():
+    kinds = {kind for kind, _ in check_values(9, zero=2, failed=2)}
     assert "lower-bound" in kinds  # 2 < floor(8/2)
     assert "conjecture" in kinds  # F = Z = 2 but n > 6
-    high = GraphRecord(graph6="Y", n=3, zero=1, failed=2)
-    assert {f.kind for f in check_record(high)} == {"upper-bound"}
-    fine = GraphRecord(graph6="Z", n=5, zero=1, failed=2)
-    assert check_record(fine) == []
+    assert {kind for kind, _ in check_values(3, zero=1, failed=2)} == {"upper-bound"}
+    assert check_values(5, zero=1, failed=2) == []
 
 
-def test_check_record_flags_zero_above_failed_plus_one():
-    planted = GraphRecord(graph6="W", n=5, zero=4, failed=2)
-    (finding,) = check_record(planted)
-    assert finding.kind == "zero-bound"
-    assert finding.detail == "zero forcing number 4 above F + 1 = 3"
-    assert check_record(GraphRecord(graph6="W", n=5, zero=3, failed=2)) == []
+def test_check_values_flags_zero_above_failed_plus_one():
+    assert check_values(5, zero=4, failed=2) == [
+        ("zero-bound", "zero forcing number 4 above F + 1 = 3")]
+    assert check_values(5, zero=3, failed=2) == []
 
 
 def test_table_tallies_and_exemplars():
@@ -357,6 +346,7 @@ def test_census_is_identical_at_uneven_job_counts(monkeypatch):
         parallel = run_census(max_n=7, k_max=4, jobs=jobs)
         assert parallel.to_json() == serial.to_json()
         assert parallel.to_text_table() == serial.to_text_table()
+        assert parallel.class_totals == serial.class_totals
 
 
 def test_census_tables_merge_in_any_order():
@@ -365,7 +355,9 @@ def test_census_tables_merge_in_any_order():
     for part in reversed(parts):
         table.merge(part)
     table.finalize()
-    assert table.to_json() == run_census(max_n=7, k_max=4).to_json()
+    whole = run_census(max_n=7, k_max=4)
+    assert table.to_json() == whole.to_json()
+    assert table.class_totals == whole.class_totals
 
 
 def test_findings_from_forked_workers_are_canonical(monkeypatch):

@@ -71,7 +71,7 @@ def test_unpack_inverts_pack_under_any_vertex_order():
 
 
 def test_round_trip_all_small_classes():
-    for n in range(1, 8):
+    for n in range(1, 9):
         for g in generate_graphs(n):
             assert parse_graph6(write_graph6(g)) == g
 

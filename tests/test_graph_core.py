@@ -3,7 +3,6 @@ import random
 import pytest
 
 from zeroforcing import (
-    Graph,
     complete_bipartite,
     complete_graph,
     condense_path,
@@ -115,10 +114,3 @@ def test_condense_path_keeps_existing_attachment():
     assert old == (3, 4)
     assert set(sub.edges()) == {(0, 1), (0, 2)}
 
-
-def test_validate_catches_corruption():
-    g = Graph(2, (0b10, 0b00))
-    with pytest.raises(ValueError):
-        g.validate()
-    ok = Graph(2, (0b10, 0b01))
-    ok.validate()

@@ -64,6 +64,13 @@ def test_verify_witness_flags_forcing_sets():
     assert verify_witness(g, good) == ()
 
 
+def test_verify_witness_flags_vertices_outside_the_graph():
+    # {1} alone does not force P3; vertex 3 is not in it
+    g = path_graph(3)
+    stray = WitnessReport(filled=mask_of([1, 3]), route="made-up", guaranteed_bound=1)
+    assert verify_witness(g, stray) == ("set has vertices outside the graph",)
+
+
 def test_verify_witness_flags_small_sets():
     g = path_graph(5)
     small = WitnessReport(filled=mask_of([1]), route="made-up", guaranteed_bound=2)
