@@ -20,12 +20,14 @@ automorphisms found generate the group, which only generation asks for.
 
 A census walks the connected classes per vertex count up to BUILTIN_MAX
 (10, where the last class with failed number 4 appears), computes the exact
-zero forcing and failed zero forcing numbers of each, tallies them per
-(value, n) cell, and checks every graph against the proven bounds and the
-open n <= k + 4 conjecture.  Since a child is kept or dropped by its own
-parent alone, the top level is split by parents: each task tallies the
-children of its own slice of parents into a table, and the tables are
-merged.  The census prints canonical graph6 records, so its document does
+failed zero forcing number F of each, tallies it per (value, n) cell, and
+checks every graph against the proven bounds and the open n <= k + 4
+conjecture.  The exact zero forcing number Z is computed only where a
+tally or a check reads it: for 1 <= F <= k_max, for n > F + 4, and where
+F's own witness plus one vertex does not certify Z <= F + 1.  Since a
+child is kept or dropped by its own parent alone, the top level is split
+by parents: each task tallies the children of its own slice of parents
+into a table, and the tables are merged.  The census prints canonical graph6 records, so its document does
 not depend on how a class was labelled or which task found it.
 """
 
@@ -39,14 +41,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
-from .exact import _zero_forcing_value, failed_zero_forcing_number
+from .exact import ExactResult, _zero_forcing_value, failed_zero_forcing_number
+from .forcing import _derived
 from .graph6_io import _graph6_of_bits, _pack_bits
 from .graph_core import Graph, is_connected
 
 BUILTIN_MAX = 10
 # Graphs per census task.  On a 2-core machine, a slice of 32 n = 7
-# parents takes 0.013 s of generation and evaluation on average and
-# 0.027 s at most (32 n = 8 parents: 0.029 s and 0.13 s), against 0.1 to
+# parents takes 0.010 s of generation and evaluation on average and
+# 0.020 s at most (32 n = 8 parents: 0.020 s and 0.10 s), against 0.1 to
 # 0.4 ms of pool traffic per task, and the n = 8 level still splits into
 # 33 tasks, so no worker idles long at the end.
 SLICE = 32
@@ -452,17 +455,19 @@ class Finding:
     detail: str
 
 
-def check_values(n: int, zero: int, failed: int) -> list[tuple[str, str]]:
+def check_values(n: int, zero: int | None, failed: int) -> list[tuple[str, str]]:
     """Check one connected n-vertex graph's two values against the proven
     bounds and report (not assert) any conjecture counterexample, as
-    (kind, detail) pairs."""
+    (kind, detail) pairs.  zero is None when Z <= F + 1 has been certified
+    and nothing reads Z (see _zero_if_read): the zero-bound check is then
+    skipped, and zero equals no failed number."""
     out = []
     floor_bound = (n - 1) // 2
     if failed < floor_bound:
         out.append(("lower-bound", f"failed number {failed} below floor((n-1)/2) = {floor_bound}"))
     if n >= 2 and failed > n - 2:
         out.append(("upper-bound", f"failed number {failed} above n - 2 = {n - 2}"))
-    if zero > failed + 1:
+    if zero is not None and zero > failed + 1:
         # every set of F + 1 vertices forces, so Z <= F + 1
         out.append(("zero-bound", f"zero forcing number {zero} above F + 1 = {failed + 1}"))
     if failed == zero and n > failed + 4:
@@ -475,7 +480,8 @@ class CensusTable:
     """Tallies of connected classes per (value, n) cell.
 
     f_counts[(k, n)] counts classes with failed number k; e_counts[(k, n)]
-    counts those whose zero forcing number also equals k.  connected_totals
+    counts those whose zero forcing number also equals k, so Z is read only
+    for 1 <= k <= k_max (and by check_values).  connected_totals
     counts all connected classes per n, including those with values above
     k_max; class_totals counts every class per n, connected or not, as
     _shard generates it, and is not in the document.  exemplars retains
@@ -497,9 +503,10 @@ class CensusTable:
     def e_total(self, k: int) -> int:
         return sum(c for (kk, _), c in self.e_counts.items() if kk == k)
 
-    def add(self, g: Graph, zero: int, failed: int) -> None:
-        """Tally one connected class from its two values.  An exemplar or a
-        finding keeps the canonical form of g, not g's own labeling."""
+    def add(self, g: Graph, zero: int | None, failed: int) -> None:
+        """Tally one connected class from its two values, where zero may be
+        None as check_values allows.  An exemplar or a finding keeps the
+        canonical form of g, not g's own labeling."""
         n, k = g.n, failed
         self.connected_totals[n] += 1
         exemplar = False
@@ -579,11 +586,33 @@ class CensusTable:
 # Running a census.
 
 
+def _zero_if_read(g: Graph, failed: ExactResult, k_max: int) -> int | None:
+    """The zero forcing number of g where a census tally or check reads it,
+    else None, given g's exact failed number and witness W.
+
+    e_counts reads Z for 1 <= F <= k_max and the conjecture check for
+    n > F + 4; the zero-bound check needs only Z <= F + 1.  Every set of
+    F + 1 vertices forces, so W plus the lowest vertex t of the fort
+    V minus W forces, and that proves Z <= |W| + 1 <= F + 1.  Where the
+    closure of W + t is not the whole vertex set, or W has more than F
+    vertices, F or W is wrong and the exact Z decides the check.
+    """
+    n, k = g.n, failed.value
+    if 1 <= k <= k_max or n > k + 4:
+        return _zero_forcing_value(g)
+    fort = g.full ^ failed.witness
+    certificate = failed.witness | fort & -fort
+    if certificate.bit_count() <= k + 1 and _derived(g.adj, g.full, certificate) == g.full:
+        return None
+    return _zero_forcing_value(g)
+
+
 def _shard(task: tuple[tuple[Graph, ...], int, int]) -> CensusTable:
     """The tallies of one slice of a built-in level, its class count and
     the values of its connected classes: the children of a slice of
     (n-1)-vertex parents, which are generated here, or a slice of n-vertex
-    classes already generated."""
+    classes already generated.  Each class gets its exact F, and its exact
+    Z only where _zero_if_read finds it read."""
     graphs, n, k_max = task
     if graphs[0].n < n:
         # generated whole first: resuming the generator between evaluations
@@ -593,7 +622,8 @@ def _shard(task: tuple[tuple[Graph, ...], int, int]) -> CensusTable:
     table.class_totals[n] = len(graphs)
     for g in graphs:
         if is_connected(g):
-            table.add(g, _zero_forcing_value(g), failed_zero_forcing_number(g).value)
+            failed = failed_zero_forcing_number(g)
+            table.add(g, _zero_if_read(g, failed, k_max), failed.value)
     return table
 
 
@@ -609,12 +639,16 @@ def _level_slices(top: int, k_max: int) -> Iterator[tuple[tuple[Graph, ...], int
 
 
 def check_census_args(max_n: int, k_max: int, jobs: int) -> None:
-    """Raise ValueError when max_n, k_max or jobs is below 1, or max_n > BUILTIN_MAX."""
+    """Raise ValueError when max_n, k_max or jobs is below 1, or max_n or
+    k_max is above BUILTIN_MAX.  A connected class on n >= 2 vertices has
+    F <= n - 2, so a table row above BUILTIN_MAX would be zeros."""
     for name, value in (("max_n", max_n), ("k_max", k_max), ("jobs", jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     if max_n > BUILTIN_MAX:
         raise ValueError(f"built-in generation covers n = 1..{BUILTIN_MAX}, not max_n={max_n}")
+    if k_max > BUILTIN_MAX:
+        raise ValueError(f"k_max must be at most {BUILTIN_MAX}, got {k_max}")
 
 
 def run_census(max_n: int, k_max: int = 4, jobs: int = 1) -> CensusTable:

@@ -13,6 +13,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from zeroforcing import (
     CensusTable,
+    ExactResult,
     Finding,
     canonical_form,
     check_values,
@@ -248,6 +249,69 @@ def test_check_values_flags_zero_above_failed_plus_one():
     assert check_values(5, zero=3, failed=2) == []
 
 
+def test_check_values_without_zero():
+    # None: Z <= F + 1 is certified and nothing reads Z
+    assert check_values(5, zero=None, failed=2) == []
+    assert check_values(3, zero=None, failed=0) == [
+        ("lower-bound", "failed number 0 below floor((n-1)/2) = 1")]
+    assert {kind for kind, _ in check_values(3, zero=None, failed=2)} == {"upper-bound"}
+    assert {kind for kind, _ in check_values(9, zero=None, failed=2)} == {"lower-bound"}
+
+
+def _eager_table(max_n, k_max, failed_number):
+    """The census table with the exact Z of every connected class."""
+    table = CensusTable(max_n=max_n, k_max=k_max)
+    for n in range(1, max_n + 1):
+        for g in generate_graphs(n):
+            if is_connected(g):
+                table.add(g, census._zero_forcing_value(g), failed_number(g))
+    table.finalize()
+    return table
+
+
+def test_lazy_zero_matches_exact_zero_everywhere():
+    values = {}
+
+    def failed_number(g):
+        return values.setdefault(write_graph6(g), census.failed_zero_forcing_number(g).value)
+
+    for k_max in (1, 2, 4, 6, 10):
+        assert run_census(7, k_max).to_json() == _eager_table(7, k_max, failed_number).to_json(), k_max
+
+
+def test_exact_zero_runs_only_where_read(monkeypatch):
+    real = census._zero_forcing_value
+    called = []
+
+    def counted(g):
+        called.append(write_graph6(g))
+        return real(g)
+
+    monkeypatch.setattr(census, "_zero_forcing_value", counted)
+    classes = [(g.n, census.failed_zero_forcing_number(g).value, write_graph6(g))
+               for n in range(1, 8) for g in generate_graphs(n) if is_connected(g)]
+    for k_max in (1, 4):
+        called.clear()
+        run_census(7, k_max, jobs=1)
+        expected = [g6 for n, failed, g6 in classes if 1 <= failed <= k_max or n > failed + 4]
+        assert sorted(called) == sorted(expected), k_max
+        assert 0 < len(called) < len(classes)
+
+
+def test_zero_bound_found_where_the_certificate_fails(monkeypatch):
+    # F = 0 with witness 0: {0} forces only a path with end 0, so every other
+    # class runs the exact Z, and those that are not paths have Z > F + 1
+    planted = ExactResult(0, 0)
+    monkeypatch.setattr(census, "failed_zero_forcing_number", lambda g: planted)
+    table = run_census(4, 4)
+    assert table.to_json() == _eager_table(4, 4, lambda g: 0).to_json()
+    found = sorted(f.graph6 for f in table.violations if f.kind == "zero-bound")
+    not_paths = sorted(canonical_form(g) for n in range(2, 5) for g in generate_graphs(n)
+                       if is_connected(g) and (g.edge_count() != n - 1 or g.max_degree() > 2))
+    assert found == not_paths and len(found) == 6
+    assert census._zero_if_read(complete_graph(3), planted, 4) == 2
+
+
 def test_table_tallies_and_exemplars():
     table = CensusTable(max_n=4, k_max=2)
     table.add(parse_graph6("Bg"), 1, 1)
@@ -361,9 +425,11 @@ def test_census_tables_merge_in_any_order():
 
 
 def test_findings_from_forked_workers_are_canonical(monkeypatch):
-    # Z = n > F + 1 plants a zero-bound finding in every class with n >= 2;
-    # the forked workers inherit the patch
-    monkeypatch.setattr(census, "_zero_forcing_value", lambda g: g.n)
+    # Z = n > F + 1 plants a zero-bound finding in every class with n >= 2,
+    # whether or not the census computes its Z; the forked workers inherit
+    # the patch
+    real = census.check_values
+    monkeypatch.setattr(census, "check_values", lambda n, zero, failed: real(n, n, failed))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = run_census(max_n=6, k_max=4, jobs=1)
     forked = run_census(max_n=6, k_max=4, jobs=2)

@@ -226,6 +226,11 @@ def test_census_bad_input_flag(capsys):
         assert run(["census", *flags]) == 1
         captured = capsys.readouterr()
         assert "must be at least 1" in captured.err and captured.out == ""
+    # F <= n - 2, so rows above 10 would be zeros; 10**8 of them took minutes
+    for k_max in ("11", "100000000"):
+        assert run(["census", "--max-n", "3", "--k-max", k_max]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"k_max must be at most 10, got {k_max}\n" and captured.out == ""
 
 
 def test_census_output_opened_before_the_run(tmp_path, monkeypatch, capsys):
@@ -250,7 +255,7 @@ def test_rejected_census_creates_no_file(tmp_path, monkeypatch, capsys):
     kept = tmp_path / "kept.json"
     kept.write_text("earlier document\n")
     for flags in (["--max-n", "11"], ["--max-n", "3", "--k-max", "0"],
-                  ["--max-n", "3", "--jobs", "0"]):
+                  ["--max-n", "3", "--k-max", "11"], ["--max-n", "3", "--jobs", "0"]):
         for path in (tmp_path / "new.json", kept):
             assert run(["census", *flags, "--output", str(path)]) == 1
             captured = capsys.readouterr()
