@@ -6,17 +6,20 @@ one neighborhood from each orbit of its automorphism group, and a child is
 kept only when the new vertex lies in the orbit of the vertex a canonical
 rule would delete from it, so each class comes from one parent once, with
 no set of every class seen so far.  Each parent is labelled once, for its
-automorphism group.  A child is labelled only when the new vertex ties for
-that rule and shares its cell of the refined degree partition with
-another vertex; the cell alone decides the other ties.  Canonical forms
-come from a nauty-style search: equitable refinement of the degree
-partition, split only by the cells the previous pass created, then
-individualization of the first cell of more than one vertex, depth-first,
-with subtrees skipped when an automorphism found on the way maps them
-onto ground already searched.  The key is the least packed adjacency
-string of graph6_io (`_pack_bits`) over the leaves of the whole tree, so
-the canonical form of a graph is the graph6 record of that minimum; the
-automorphisms found generate the group, which only generation asks for.
+automorphism group.  The rule's vertex keys come from the parent's
+degrees, without building the child.  A child is labelled only when the
+new vertex ties for that rule with a vertex that is not its twin, and
+shares its cell of the refined degree partition with another vertex; a
+tie of twins alone keeps the child, and the cell decides the other ties.
+Canonical forms come from a nauty-style search: equitable refinement of
+the degree partition, split only by the cells the previous pass created,
+then individualization of the first cell of more than one vertex,
+depth-first, with subtrees skipped when an automorphism found on the way
+maps them onto ground already searched.  The key is the least packed
+adjacency string of graph6_io (`_pack_bits`) over the leaves of the whole
+tree, so the canonical form of a graph is the graph6 record of that
+minimum; the automorphisms found generate the group, which only
+generation asks for.
 
 A census walks the connected classes per vertex count up to BUILTIN_MAX
 (10, where the last class with failed number 4 appears), computes the exact
@@ -27,8 +30,9 @@ tally or a check reads it: for 1 <= F <= k_max, for n > F + 4, and where
 F's own witness plus one vertex does not certify Z <= F + 1.  Since a
 child is kept or dropped by its own parent alone, the top level is split
 by parents: each task tallies the children of its own slice of parents
-into a table, and the tables are merged.  The census prints canonical graph6 records, so its document does
-not depend on how a class was labelled or which task found it.
+into a table, and the tables are merged.  The census prints canonical
+graph6 records, so its document does not depend on how a class was
+labelled or which task found it.
 """
 
 from __future__ import annotations
@@ -125,8 +129,8 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 
 def _root(n: int, adj: tuple[int, ...]) -> list[int]:
     """The root of the search tree: the degree partition, in ascending
-    degree, refined.  Every cell holds one vertex key (degree, then sorted
-    neighbor degrees), since the first pass splits by those."""
+    degree, refined.  Every cell holds vertices of one degree and one
+    multiset of neighbor degrees, since the first pass splits by those."""
     by_degree: dict[int, int] = {}
     for v in range(n):
         d = adj[v].bit_count()
@@ -297,23 +301,6 @@ def _extended_adj(parent_adj: tuple[int, ...], neighborhood: int, n: int) -> tup
     return tuple(adj)
 
 
-def _top_keys(adj: tuple[int, ...], top: int) -> dict[int, tuple[int, ...]]:
-    """The sorted neighbor degrees of each vertex of degree top (the
-    largest degree); a vertex's key is its degree, then this tuple."""
-    degrees = [row.bit_count() for row in adj]
-    keys = {}
-    for u, row in enumerate(adj):
-        if degrees[u] == top:
-            nbrs = []
-            while row:
-                bit = row & -row
-                row ^= bit
-                nbrs.append(degrees[bit.bit_length() - 1])
-            nbrs.sort()
-            keys[u] = tuple(nbrs)
-    return keys
-
-
 def _on_sets(generators: list[list[int]]) -> list[list[int]]:
     """Each vertex permutation as the list of 1 << image, which maps a
     vertex subset's bit mask bit by bit."""
@@ -345,11 +332,14 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
     vertices, by canonical augmentation (B. D. McKay, "Isomorph-free
     exhaustive generation", J. Algorithms 26, 1998).
 
-    A vertex's key is its degree, then the sorted degrees of its neighbors.
-    In a graph C, let w* be the first vertex with the largest key in C's
-    canonical order, and m(C) the Aut(C)-orbit of w*; an isomorphism from
-    C to C' maps m(C) onto m(C').  A child C = P + v over a neighborhood N
-    of the parent P is kept only when N is the smallest member of its
+    A vertex's key is its degree, then the histogram of its neighbors'
+    degrees, packed 4 bits per degree into one int (a count is at most
+    n - 1, below 16 up to BUILTIN_MAX), which two vertices share exactly
+    when they share the sorted list of their neighbors' degrees.  In a
+    graph C, let w* be the first vertex with the largest key in C's
+    canonical order, and m(C) the Aut(C)-orbit of w*; an isomorphism from C
+    to C' maps m(C) onto m(C').  A child C = P + v over a neighborhood N of
+    the parent P is kept only when N is the smallest member of its
     Aut(P)-orbit and v lies in m(C).
     - Every class is reached.  Take C in it and w* in m(C): C - w* is
       isomorphic to some parent P, and the isomorphism extends to one from
@@ -366,25 +356,39 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
     An automorphism of P that maps N to N' extends to an isomorphism of
     the two children that fixes v, so the degree filter and the key test
     answer alike on a whole orbit and run on its smallest member only.
-    Keys are invariant, so m(C) holds only vertices with the largest key:
-    a child where v does not hold it is dropped, and one where v alone
-    holds it has m(C) = {v} and is kept unlabelled.  A tie is settled
-    from the root partition of C's search (_root) where it can be: every
-    root cell holds one key, and the canonical order lists the root cells
-    in turn, so w* lies in the first root cell that holds v's key, and so
-    does m(C), since the root cells are invariant.  If v is not in that
-    cell, v is not in m(C); if v is alone in it, w* = v.
-    Otherwise C is labelled from that root, for its order and generators.
+    Each parent's degrees are counted once, into a table of the sums of
+    16 ** degree over P's vertex subsets.  In C a vertex keeps its degree
+    in P, plus 1 when it lies in N (which multiplies its term by 16), and v
+    has degree |N|, so the keys of C come from P's rows and that table
+    without building C.  Keys are invariant, so m(C) holds only vertices
+    with the largest key: a child where v does not hold it is dropped.
+    The other vertices that hold it tie with v.
+    - No tie, or only twins (vertices u whose neighbors other than v
+      are v's other than u): each transposition (v u) is an automorphism,
+      so the tied vertices and v form one orbit, which holds w* and so is
+      m(C).  The child is kept unlabelled.
+    - Any other tie is settled from the root partition of C's search
+      (_root) where it can be: every root cell holds one key, and the
+      canonical order lists the root cells in turn, so w* lies in the
+      first root cell that holds v's key, and so does m(C), since the root
+      cells are invariant.  If v is not in that cell, v is not in m(C); if
+      v is alone in it, w* = v.  Otherwise C is labelled from that root,
+      for its order and generators.
     Each parent is labelled once, for its automorphism generators.
     Parents may carry any labelling.
     """
     v = n - 1
     for parent in parents:
-        bit_maps = _on_sets(_canon_bits(v, parent.adj)[2])
+        rows = parent.adj
+        bit_maps = _on_sets(_canon_bits(v, rows)[2])
         seen: set[int] = set()
         by_degree = [0] * n
-        for u, row in enumerate(parent.adj):
-            by_degree[row.bit_count()] |= 1 << u
+        # weights[s]: the sum of 16 ** degree over the vertices of subset s
+        weights = [0]
+        for u, row in enumerate(rows):
+            d = row.bit_count()
+            by_degree[d] |= 1 << u
+            weights += [w + (1 << 4 * d) for w in weights]
         top = max(d for d in range(n) if by_degree[d])
         for neighborhood in range(1 << v):
             size = neighborhood.bit_count()
@@ -396,18 +400,29 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
                 continue
             if bit_maps:
                 seen |= _subset_orbit(neighborhood, bit_maps)
-            adj = _extended_adj(parent.adj, neighborhood, n)
-            # keys are compared only when another vertex also has degree size
-            tied = False
-            if by_degree[size - 1] & neighborhood | by_degree[size] & ~neighborhood:
-                keys = _top_keys(adj, size)
-                rival = max(key for u, key in keys.items() if u != v)
-                if rival > keys[v]:
-                    continue
-                tied = rival == keys[v]
-            if tied:
+            # the other vertices of degree size in C: N raised or kept them there
+            rivals = by_degree[size - 1] & neighborhood | by_degree[size] & ~neighborhood
+            mine = weights[neighborhood] << 4  # v's key
+            key = ties = 0  # ties: the rivals with v's key
+            twins = True  # and all of them twins of v
+            while rivals:
+                bit = rivals & -rivals
+                rivals ^= bit
+                row = rows[bit.bit_length() - 1]
+                key = weights[row & ~neighborhood] + (weights[row & neighborhood] << 4)
+                if bit & neighborhood:
+                    key += 1 << 4 * size
+                if key > mine:
+                    break
+                if key == mine:
+                    ties |= bit
+                    twins = twins and not (row ^ neighborhood) & ~bit
+            if key > mine:
+                continue
+            adj = _extended_adj(rows, neighborhood, n)
+            if not twins:
                 root = _root(n, adj)
-                cell = next(c for c in root if keys.get((c & -c).bit_length() - 1) == keys[v])
+                cell = next(c for c in root if c & (ties | 1 << v))
                 if not cell >> v & 1:
                     continue
                 if cell != 1 << v:

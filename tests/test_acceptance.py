@@ -5,7 +5,8 @@ behind criteria 2-7 runs once per session (see conftest); criterion 9
 runs the n <= 9 census at two jobs and checks its class counts, all and
 connected, and its tables.  The graph6 round trips of every class with
 n <= 8 are in test_graph6_io.  The n = 10 census, which completes the
-F = 4 row, is gated behind RUN_EXTENDED=1.
+F = 4 row, and the canonical forms of every class on 9 vertices are gated
+behind RUN_EXTENDED=1.
 """
 
 import hashlib
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from zeroforcing import (
+    canonical_form,
     check_values,
     failed_zero_forcing_number,
     generate_graphs,
@@ -137,7 +139,7 @@ N10_SHA256 = "dd3578709f3ca923dec52686c499869b82afc729bfc0522a16b01a4b546fb3b9"
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
-                    reason="about 7.5 min of CPU; set RUN_EXTENDED=1")
+                    reason="about 6.5 min of CPU; set RUN_EXTENDED=1")
 def test_extended_f4_row():
     # n <= 9 is checked by criterion 9; this adds the one n = 10 class
     table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1)
@@ -148,3 +150,17 @@ def test_extended_f4_row():
     assert table.e_total(4) == 50
     assert table.violations == []
     assert hashlib.sha256(table.to_json().encode()).hexdigest() == N10_SHA256
+
+
+# sha256 of the sorted canonical_form records of the classes on 9 vertices,
+# in the form of test_census.CLASS_DIGESTS
+N9_FORMS_SHA256 = "6fbe3234652781f453cbfd0ab547728078e23ec97187fef42fb7416dd7e529a6"
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
+                    reason="about 10 s of CPU; set RUN_EXTENDED=1")
+def test_extended_n9_canonical_forms():
+    # criterion 9 checks n = 9 by its class counts only
+    forms = sorted(canonical_form(g) for g in generate_graphs(9))
+    assert len(forms) == 274668
+    assert hashlib.sha256("\n".join(forms).encode()).hexdigest() == N9_FORMS_SHA256

@@ -229,6 +229,63 @@ def test_classes_from_distinct_parents_are_distinct():
         assert counts == (count_classes_by_dedupe(n) if n <= 6 else (1044, 853))
 
 
+def _kept_by_labelling(parent, n):
+    """The adjacency of each child of parent that canonical augmentation
+    keeps, with keys counted on the child itself and every tie settled by
+    labelling it: the reference for _novel_extensions' shortcuts."""
+    v = n - 1
+    bit_maps = _on_sets(_canon_bits(v, parent.adj)[2])
+    seen, kept = set(), []
+    for neighborhood in range(1 << v):
+        if neighborhood in seen:
+            continue
+        seen |= _subset_orbit(neighborhood, bit_maps)
+        adj = tuple(row | (neighborhood >> u & 1) << v for u, row in enumerate(parent.adj))
+        adj += (neighborhood,)
+        degree = [row.bit_count() for row in adj]
+        if degree[v] < max(degree):
+            continue
+        keys = [(degree[u], sum(16 ** degree[w] for w in vertices_of(row))) for u, row in enumerate(adj)]
+        top = max(keys)
+        if keys[v] < top:
+            continue
+        if keys.count(top) > 1:
+            _, order, generators = _canon_bits(n, adj)
+            w = next(u for u in order if keys[u] == top)
+            if 1 << v not in _subset_orbit(1 << w, _on_sets(generators)):
+                continue
+        kept.append(adj)
+    return kept
+
+
+def test_shortcuts_keep_the_children_labelling_keeps():
+    parents = [(g, n + 1) for n in range(1, 8) for g in _classes(n)]
+    parents += [(g, 9) for g in random.Random(37).sample(_classes(8), 60)]
+    for parent, n in parents:
+        kept = [g.adj for g in _novel_extensions([parent], n)]
+        assert kept == _kept_by_labelling(parent, n), write_graph6(parent)
+
+
+def test_twin_ties_are_never_labelled(monkeypatch):
+    labelled = []
+
+    def counted(n, adj, root=None):
+        if root is not None:
+            labelled.append(adj)
+        return _canon_bits(n, adj, root)
+
+    monkeypatch.setattr(census, "_canon_bits", counted)
+    for n in range(3, 10):
+        # from n = 5 on: at n = 4 the star is P3, whose child C4 ties v with
+        # the leaves, which are not its twins
+        stars = [complete_bipartite(1, n - 2)] if n >= 5 else []
+        children = list(_novel_extensions([complete_graph(n - 1), from_edges(n - 1, [])] + stars, n))
+        # K_n; a star K_{1,k} plus isolated vertices for each k < n; the
+        # star with a second centre, joined to the first or not
+        assert len(children) == 1 + n + 2 * len(stars), n
+    assert labelled == []
+
+
 def test_generate_rejects_large_n():
     for n in (0, 11):
         with pytest.raises(ValueError, match=f"covers 1..10, not {n}"):
