@@ -20,7 +20,6 @@ from .exact import (
     ExactCapExceeded,
     ExactResult,
     failed_zero_forcing_number,
-    size_k_subsets,
     zero_forcing_number,
 )
 from .forcing import (
@@ -86,7 +85,6 @@ __all__ = [
     "path_graph",
     "petersen_graph",
     "run_census",
-    "size_k_subsets",
     "spent_vertices",
     "verify_witness",
     "vertices_of",

@@ -169,8 +169,8 @@ def _canon_bits(n: int, adj: tuple[int, ...],
     """The canonical key (least packed adjacency string over the leaves of
     the refinement search tree; equal iff isomorphic), the vertex order of
     the first leaf that reaches it, and automorphism group generators, each
-    a list image with image[u] the image of u.  root, if given, is
-    _root(n, adj).
+    the list of 1 << (the image of u) over the vertices u, which maps a
+    vertex subset's bit mask bit by bit.  root, if given, is _root(n, adj).
 
     A node of the tree is an equitable ordered partition.  It is a leaf
     when discrete, or homogeneous with some cell of more than one vertex
@@ -231,16 +231,16 @@ def _canon_bits(n: int, adj: tuple[int, ...],
                     continue
                 members = _cells_order([cell])
                 for u, w in zip(members, members[1:]):
-                    image = list(range(n))
-                    image[u], image[w] = w, u
-                    generators.append(image)
+                    bit_map = [1 << x for x in range(n)]
+                    bit_map[u], bit_map[w] = bit_map[w], bit_map[u]
+                    generators.append(bit_map)
         else:
             for bits0, order0, path0 in leaves:
                 if bits == bits0:
-                    image = [0] * n
+                    bit_map = [0] * n
                     for u, w in zip(order0, order):
-                        image[u] = w
-                    generators.append(image)
+                        bit_map[u] = 1 << w
+                    generators.append(bit_map)
                     # the paths have one length and part at the common ancestor
                     k = 0
                     while path0[k] == path[k]:
@@ -257,15 +257,15 @@ def _canon_bits(n: int, adj: tuple[int, ...],
             return leaf(cells, path)
         depth = len(path)
         cell = cells[target]
-        group: list[list[int]] = []  # the automorphisms found that fix path, on sets
+        group: list[list[int]] = []  # the automorphisms found that fix path
         known = 0
         rem = cell
         while rem:
             bit = rem & -rem
             rem ^= bit
             if len(generators) > known:
-                group += _on_sets([image for image in generators[known:]
-                                   if all(image[x] == x for x in path)])
+                group += [bit_map for bit_map in generators[known:]
+                          if all(bit_map[x] == 1 << x for x in path)]
                 known = len(generators)
             if group and min(_subset_orbit(bit, group)) < bit:
                 continue
@@ -301,15 +301,9 @@ def _extended_adj(parent_adj: tuple[int, ...], neighborhood: int, n: int) -> tup
     return tuple(adj)
 
 
-def _on_sets(generators: list[list[int]]) -> list[list[int]]:
-    """Each vertex permutation as the list of 1 << image, which maps a
-    vertex subset's bit mask bit by bit."""
-    return [[1 << x for x in image] for image in generators]
-
-
 def _subset_orbit(subset: int, bit_maps: list[list[int]]) -> set[int]:
     """The orbit of a vertex subset's bit mask under the group that the
-    vertex permutations generate, each given in the form of _on_sets."""
+    vertex permutations generate, each given in the form of _canon_bits."""
     orbit = {subset}
     stack = [subset]
     while stack:
@@ -380,7 +374,7 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
     v = n - 1
     for parent in parents:
         rows = parent.adj
-        bit_maps = _on_sets(_canon_bits(v, rows)[2])
+        bit_maps = _canon_bits(v, rows)[2]
         seen: set[int] = set()
         by_degree = [0] * n
         # weights[s]: the sum of 16 ** degree over the vertices of subset s
@@ -428,7 +422,7 @@ def _novel_extensions(parents: Iterable[Graph], n: int) -> Iterator[Graph]:
                 if cell != 1 << v:
                     _, order, generators = _canon_bits(n, adj, root)
                     w = next(u for u in order if cell >> u & 1)
-                    if w != v and 1 << v not in _subset_orbit(1 << w, _on_sets(generators)):
+                    if w != v and 1 << v not in _subset_orbit(1 << w, generators):
                         continue
             yield Graph(n, adj)
 

@@ -7,7 +7,8 @@ deterministic.
 The zero forcing number comes from the wavefront of Brimkov, Fast and
 Hicks ("Computational approaches for zero forcing and related problems",
 EJOR 273, 2019): a cheapest-first search over closed sets finds the
-value, and then only subsets of that size are scanned for the witness.
+value, and then a depth-first search over the sets of that size, pruned
+by closure, finds the witness.
 
 The failed zero forcing number comes from forts (Fetcie, Jacob and
 Saavedra, "The failed zero forcing number of a graph", Involve 8, 2015).
@@ -29,7 +30,6 @@ of three or more vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .forcing import _derived
 from .graph_core import Graph
@@ -49,22 +49,6 @@ class ExactResult:
 
     value: int
     witness: int
-
-
-def size_k_subsets(n: int, k: int) -> Iterator[int]:
-    """All k-subsets of 0..n-1 as bitmasks, in ascending numeric order."""
-    if k == 0:
-        yield 0
-        return
-    if k > n:
-        return
-    s = (1 << k) - 1
-    top = 1 << n
-    while s < top:
-        yield s
-        low = s & -s
-        ripple = s + low
-        s = ripple | ((s ^ ripple) >> 2) // low
 
 
 def _check_cap(g: Graph, cap: int) -> None:
@@ -115,14 +99,35 @@ def _zero_forcing_value(g: Graph) -> int:
 
 def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
     """Minimum size of a zero forcing set Z, from the wavefront, with the
-    first forcing set of size Z in ascending order as the witness."""
+    first forcing set of size Z in ascending order as the witness.
+
+    A depth-first search decides the highest undecided vertex first,
+    outside before inside: every set below a node agrees above that
+    vertex, so the sets of size Z are met in ascending order.  The outside
+    branch is pruned when the inside and the other undecided vertices
+    together do not force (closure is monotone, so no set below it does).
+    A node with no places left, or as many as undecided vertices, holds
+    one set.
+    """
     _check_cap(g, cap)
     adj, full = g.adj, g.full
     value = _zero_forcing_value(g)
-    for s in size_k_subsets(g.n, value):
-        if _derived(adj, full, s) == full:
-            return ExactResult(value, s)
-    raise AssertionError("the wavefront cost is always reached by some subset")
+
+    def search(inside: int, undecided: int, places: int) -> int | None:
+        # inside | undecided forces, and places <= |undecided|
+        if places == undecided.bit_count():
+            return inside | undecided
+        if not places:
+            return inside if _derived(adj, full, inside) == full else None
+        bit = 1 << (undecided.bit_length() - 1)
+        rest = undecided ^ bit
+        found = search(inside, rest, places) if _derived(adj, full, inside | rest) == full else None
+        return found if found is not None else search(inside | bit, rest, places - 1)
+
+    witness = search(0, full, value)
+    if witness is None:
+        raise AssertionError("the wavefront cost is always reached by some subset")
+    return ExactResult(value, witness)
 
 
 def _is_fort(adj: tuple[int, ...], fort: int, outside: int) -> bool:

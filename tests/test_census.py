@@ -32,7 +32,7 @@ from zeroforcing import (
 )
 
 from zeroforcing import census
-from zeroforcing.census import _canon_bits, _classes, _novel_extensions, _on_sets, _subset_orbit
+from zeroforcing.census import _canon_bits, _classes, _novel_extensions, _subset_orbit
 
 from conftest import random_graph
 from naive import adj_sets, are_isomorphic, count_classes_by_dedupe, naive_refine
@@ -138,6 +138,12 @@ def _networkx_automorphisms(g, u=None, w=None):
                         node_match=lambda a, b: a["marked"] == b["marked"]).isomorphisms_iter()
 
 
+def _images(bit_maps):
+    """Each generator of _canon_bits, a list of 1 << image[u], as the list
+    image."""
+    return [[bit.bit_length() - 1 for bit in bit_map] for bit_map in bit_maps]
+
+
 def test_automorphism_generators_match_networkx():
     rng = random.Random(41)
     graphs = [g for n in range(1, 7) for g in generate_graphs(n)]
@@ -148,10 +154,11 @@ def test_automorphism_generators_match_networkx():
     assert sum(not is_connected(g) for g in graphs[-100:]) >= 20
     for g in graphs:
         _, _, generators = _canon_bits(g.n, g.adj)
-        for image in generators:
+        for bit_map, image in zip(generators, _images(generators)):
+            assert bit_map == [1 << x for x in image]
             assert sorted(image) == list(range(g.n))
             assert sorted(tuple(sorted((image[u], image[w]))) for u, w in g.edges()) == g.edges()
-        ours = _vertex_orbits(g.n, [(u, image[u]) for image in generators for u in range(g.n)])
+        ours = _vertex_orbits(g.n, [(u, image[u]) for image in _images(generators) for u in range(g.n)])
         theirs = _vertex_orbits(g.n, [(u, w) for u in range(g.n) for w in range(u + 1, g.n)
                                       if next(_networkx_automorphisms(g, u, w), None)])
         assert ours == theirs, write_graph6(g)
@@ -163,7 +170,7 @@ def test_automorphism_generators_match_networkx():
             for subset in range(1 << g.n):
                 if subset not in seen:
                     count += 1
-                    seen |= _subset_orbit(subset, _on_sets(generators))
+                    seen |= _subset_orbit(subset, generators)
             assert count * len(automorphisms) == fixed, write_graph6(g)
 
 
@@ -216,7 +223,7 @@ def test_symmetric_graphs_keep_their_forms_with_few_generators(g, form):
         for subset in range(1 << g.n):
             if subset not in seen:
                 count += 1
-                seen |= _subset_orbit(subset, _on_sets(generators))
+                seen |= _subset_orbit(subset, generators)
         assert count * len(automorphisms) == fixed
 
 
@@ -234,7 +241,7 @@ def _kept_by_labelling(parent, n):
     keeps, with keys counted on the child itself and every tie settled by
     labelling it: the reference for _novel_extensions' shortcuts."""
     v = n - 1
-    bit_maps = _on_sets(_canon_bits(v, parent.adj)[2])
+    bit_maps = _canon_bits(v, parent.adj)[2]
     seen, kept = set(), []
     for neighborhood in range(1 << v):
         if neighborhood in seen:
@@ -252,7 +259,7 @@ def _kept_by_labelling(parent, n):
         if keys.count(top) > 1:
             _, order, generators = _canon_bits(n, adj)
             w = next(u for u in order if keys[u] == top)
-            if 1 << v not in _subset_orbit(1 << w, _on_sets(generators)):
+            if 1 << v not in _subset_orbit(1 << w, generators):
                 continue
         kept.append(adj)
     return kept

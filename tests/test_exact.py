@@ -17,8 +17,8 @@ from zeroforcing import (
     mask_of,
     path_graph,
     petersen_graph,
-    size_k_subsets,
     vertices_of,
+    write_graph6,
     zero_forcing_number,
 )
 
@@ -29,16 +29,6 @@ from naive import (
     naive_first_zero,
     naive_min_fort,
 )
-
-
-def test_size_k_subsets_matches_combinations():
-    for n in range(0, 9):
-        for k in range(0, n + 1):
-            ours = list(size_k_subsets(n, k))
-            theirs = [mask_of(c) for c in itertools.combinations(range(n), k)]
-            assert sorted(ours) == sorted(theirs)
-            # ascending as integers, so the lowest-index witness comes first
-            assert ours == sorted(ours)
 
 
 def test_path_numbers():
@@ -197,6 +187,34 @@ def test_numbers_at_the_vertex_cap(g, z, f):
     assert (zero.value, failed.value) == (z, f)
     assert zero.witness.bit_count() == z and derived_set(g, zero.witness) == g.full
     assert failed.witness.bit_count() == f and derived_set(g, failed.witness) != g.full
+
+
+def _closed_forms(ns, complete, bicliques):
+    """(graph, Z, Z's first witness or None, F) from the closed forms for
+    P_n and C_n with n in ns, K_n with n in complete, and K_{a,b} with
+    (a, b) in bicliques."""
+    return ([(path_graph(n), 1, (0,), (n - 1) // 2) for n in ns]
+            + [(cycle_graph(n), 2, (0, 1), n // 2) for n in ns if n >= 3]
+            + [(complete_graph(n), n - 1, tuple(range(n - 1)), n - 2) for n in complete]
+            + [(complete_bipartite(a, b), a + b - 2, None, a + b - 2) for a, b in bicliques])
+
+
+def test_closed_forms_above_the_cap():
+    # no naive oracle reaches past the cap, so the forms are checked against it below
+    small = _closed_forms(range(1, 10), range(2, 10),
+                          [(a, b) for a in range(1, 5) for b in range(max(a, 2), 10 - a)])
+    for g, z, witness, f in small:
+        adj = adj_sets(g)
+        value, first = naive_first_zero(adj)
+        assert (value, naive_first_failed(adj)[0]) == (z, f), write_graph6(g)
+        assert witness in (None, first)
+    for g, z, witness, f in _closed_forms(range(21, 31), [24], [(8, 8)]):
+        zero = zero_forcing_number(g, cap=g.n)
+        failed = failed_zero_forcing_number(g, cap=g.n)
+        assert (zero.value, failed.value) == (z, f), write_graph6(g)
+        assert witness in (None, vertices_of(zero.witness))
+        assert zero.witness.bit_count() == z and derived_set(g, zero.witness) == g.full
+        assert failed.witness.bit_count() == f and derived_set(g, failed.witness) != g.full
 
 
 def test_cap_enforced():
