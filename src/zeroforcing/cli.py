@@ -76,8 +76,8 @@ def _input_records(args_graphs: list[str]) -> list[tuple[str, str]]:
     # that is not ASCII; a text stream such as io.StringIO has no buffer
     raw = getattr(sys.stdin, "buffer", None)
     text = raw.read().decode("ascii", "surrogateescape") if raw is not None else sys.stdin.read()
-    lines = text.splitlines()
-    return [(f"stdin: line {lineno}", record) for lineno, record in read_records(lines)]
+    # split on LF only: str.splitlines() also breaks at control bytes
+    return [(f"stdin: line {lineno}", record) for lineno, record in read_records(text.split("\n"))]
 
 
 def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 from .graph_core import Graph
 
 HEADER = ">>graph6<<"
+_BLANK = " \t\r\n"  # stripped around a record; str.strip() would also drop control bytes
 
 
 class Graph6Error(ValueError):
@@ -62,7 +63,7 @@ _SIX_BITS = {v + 63: format(v, "06b") for v in range(64)}  # body byte -> its si
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 record (a header is not part of a record)."""
-    s = text.strip()
+    s = text.strip(_BLANK)
     if s.startswith(HEADER):
         raise Graph6Error(f"a {HEADER} header may only open a stream")
     if not s:
@@ -102,8 +103,8 @@ def read_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     stays, so parsing that record fails.
     """
     for lineno, raw in enumerate(lines, start=1):
-        s = raw.strip()
+        s = raw.strip(_BLANK)
         if lineno == 1 and s.startswith(HEADER):
-            s = s[len(HEADER):].strip()
+            s = s[len(HEADER):].strip(_BLANK)
         if s:
             yield lineno, s

@@ -13,6 +13,7 @@ of silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .forcing import derived_set
 from .graph_core import (
@@ -146,62 +147,58 @@ def _general(g: Graph) -> WitnessReport:
     dmin = g.min_degree()
     if dmin >= 3:
         return witness_delta3(g)
-    if dmin == 1:
-        return _lift_leaf(g)
-    return _lift_contraction(g)
+    v = next(u for u in range(g.n) if g.degree(u) == dmin)
+    sub, lift = (_leaf_pair if dmin == 1 else _degree2_path)(g, v)
+    child = witness_general(sub)
+    fill, tag = lift(child.filled)
+    return WitnessReport(
+        filled=fill,
+        route=f"{tag}({child.route})",
+        guaranteed_bound=(g.n - 1) // 2,
+    )
 
 
-def _lift_leaf(g: Graph) -> WitnessReport:
-    """Min degree 1: drop a leaf v and its neighbor w, recurse, lift.
-
-    If w still touches an unfilled surviving vertex, adding w alone keeps
-    the child set stalled; otherwise add both v and w (both end up spent).
+def _leaf_pair(g: Graph, v: int) -> tuple[Graph, Callable[[int], tuple[int, str]]]:
+    """Delete the leaf v and its neighbor w, with a lift of any stalled set
+    of the rest: if w still touches an unfilled surviving vertex, adding w
+    alone keeps the set stalled; otherwise add v and w (both end up spent).
     """
-    v = next(u for u in range(g.n) if g.degree(u) == 1)
     w = g.adj[v].bit_length() - 1
     keep = g.full & ~(1 << v) & ~(1 << w)
     sub, old = induced_subgraph(g, keep)
-    child = witness_general(sub)
-    lifted = mask_of(old[u] for u in iter_bits(child.filled))
-    if g.adj[w] & keep & ~lifted:
-        fill, tag = lifted | 1 << w, "delta1-a"
-    else:
-        fill, tag = lifted | 1 << v | 1 << w, "delta1-b"
-    return WitnessReport(
-        filled=fill,
-        route=f"{tag}({child.route})",
-        guaranteed_bound=(g.n - 1) // 2,
-    )
+
+    def lift(filled: int) -> tuple[int, str]:
+        lifted = mask_of(old[u] for u in iter_bits(filled))
+        if g.adj[w] & keep & ~lifted:
+            return lifted | 1 << w, "delta1-a"
+        return lifted | 1 << v | 1 << w, "delta1-b"
+
+    return sub, lift
 
 
-def _lift_contraction(g: Graph) -> WitnessReport:
-    """Min degree 2: contract the path x - v - y, recurse, lift by cases.
+def _degree2_path(g: Graph, v: int) -> tuple[Graph, Callable[[int], tuple[int, str]]]:
+    """Contract the path x - v - y through the degree-2 vertex v into w, with
+    a lift of any stalled set of the result by cases.
 
-    With the replacement vertex w outside the child set, refill v alone.
-    With w inside: if w was spent, swap it for v, x, y; if w still had
-    unfilled neighbors on both the x and y sides, swap it for x, y; if all
-    its unfilled neighbors sat on one side, swap it for v, x, y.
+    With w outside the set, refill v alone.  With w inside: if w was spent,
+    swap it for v, x, y; if w still had unfilled neighbors on both the x
+    and y sides, swap it for x, y; if all its unfilled neighbors sat on one
+    side, swap it for v, x, y.
     """
-    v = next(u for u in range(g.n) if g.degree(u) == 2)
     x, y = vertices_of(g.adj[v])
     sub, old, w = condense_path(g, v, x, y)
-    child = witness_general(sub)
-    lifted = mask_of(old[u] for u in iter_bits(child.filled & ~(1 << w)))
     bv, bx, by = 1 << v, 1 << x, 1 << y
-    if not child.filled >> w & 1:
-        fill, tag = lifted | bv, "delta2-case1"
-    else:
-        x_side = g.adj[x] & ~bv
-        y_side = g.adj[y] & ~bv
+    x_side, y_side = g.adj[x] & ~bv, g.adj[y] & ~bv
+
+    def lift(filled: int) -> tuple[int, str]:
+        lifted = mask_of(old[u] for u in iter_bits(filled & ~(1 << w)))
+        if not filled >> w & 1:
+            return lifted | bv, "delta2-case1"
         open_nbrs = (x_side | y_side) & ~(bv | bx | by) & ~lifted
         if not open_nbrs:
-            fill, tag = lifted | bv | bx | by, "delta2-case2a"
-        elif open_nbrs & x_side and open_nbrs & y_side:
-            fill, tag = lifted | bx | by, "delta2-case2bi"
-        else:
-            fill, tag = lifted | bv | bx | by, "delta2-case2bii"
-    return WitnessReport(
-        filled=fill,
-        route=f"{tag}({child.route})",
-        guaranteed_bound=(g.n - 1) // 2,
-    )
+            return lifted | bv | bx | by, "delta2-case2a"
+        if open_nbrs & x_side and open_nbrs & y_side:
+            return lifted | bx | by, "delta2-case2bi"
+        return lifted | bv | bx | by, "delta2-case2bii"
+
+    return sub, lift

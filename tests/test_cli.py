@@ -142,6 +142,23 @@ def test_stdin_byte_outside_ascii_is_named_by_its_value(encoding):
     assert done.stderr.endswith(b": byte 255 outside the graph6 alphabet\n")
 
 
+@pytest.mark.parametrize("byte", [0x0B, 0x0C, 0x1C, 0x1D, 0x1E, 0x1F])
+def test_control_byte_is_rejected_on_its_own_line(byte, capsys):
+    # str.splitlines() breaks lines at these bytes and str.strip() drops them
+    bad = f": byte {byte} outside the graph6 alphabet\n"
+    for record in (f"A_{chr(byte)}A_", f"A_{chr(byte)}"):
+        assert run(["witness"], stdin=f"Bw\n{record}\n@\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("stdin: line 2: bad graph6 record ")
+        assert captured.err.endswith(bad)
+        assert run(["witness", "Bw", record]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("argument 2: bad graph6 record ")
+        assert captured.err.endswith(bad)
+
+
 def test_bad_argument_record_names_its_position_and_prints_nothing(capsys):
     assert run(["analyze", "--format", "structured", "Bw", "Bg", "B", "Bw"]) == 1
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -77,7 +78,7 @@ def test_verify_witness_flags_small_sets():
     assert verify_witness(g, small) == ("set has 1 vertices, below the bound 2",)
 
 
-def test_cut_vertex_construction():
+def test_local_max_cut_on_two_cliques_sharing_a_vertex():
     # a cut vertex or a bridge needs no route of its own
     g = two_cliques_sharing_vertex()
     rep = witness_delta3(g)
@@ -105,42 +106,22 @@ def assert_both_sides_stall(g, rep):
     assert is_stalled(g, other)
 
 
-def test_algo1_on_k4():
+def test_local_max_cut_leaves_both_sides_stalled():
     g = complete_graph(4)
     rep = witness_delta3(g)
     assert_local_max_cut(g, rep)
     assert rep.filled.bit_count() == 2
     assert_both_sides_stall(g, rep)
-
-
-def test_algo1_on_petersen():
     g = petersen_graph()
     rep = witness_delta3(g)
     assert_local_max_cut(g, rep)
     assert rep.filled.bit_count() >= 5
     assert_both_sides_stall(g, rep)
-
-
-def test_algo1_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="minimum degree 3"):
-        witness_delta3(path_graph(5))
     # a disconnected graph is accepted and takes the same route
     g = two_disjoint_cliques()
     rep = witness_delta3(g)
     assert_local_max_cut(g, rep)
     assert_both_sides_stall(g, rep)
-
-
-def test_cut_vertex_rejects_bad_inputs():
-    # a cut vertex does not lift the minimum-degree requirement
-    # two triangles sharing vertex 2
-    low = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    assert low.min_degree() == 2
-    with pytest.raises(ValueError, match="minimum degree 3"):
-        witness_delta3(low)
-    # with or without a cut vertex the route is the same
-    assert witness_delta3(complete_graph(5)).route == "local-max-cut"
-    assert witness_delta3(two_cliques_sharing_vertex()).route == "local-max-cut"
 
 
 def test_delta3_on_every_small_class():
@@ -155,7 +136,10 @@ def test_delta3_on_every_small_class():
 
 
 def test_delta3_rejects_low_degree():
-    for g in (path_graph(5), cycle_graph(6), complete_bipartite(2, 3)):
+    # a cut vertex does not lift the requirement: two triangles sharing vertex 2
+    low = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    assert low.min_degree() == 2
+    for g in (path_graph(5), cycle_graph(6), complete_bipartite(2, 3), low):
         with pytest.raises(ValueError, match="minimum degree 3"):
             witness_delta3(g)
 
@@ -212,12 +196,13 @@ def test_general_returns_literally_stalled_sets():
 def test_broken_lift_fails_loudly(monkeypatch, capsys):
     # a lift whose set forces the graph must raise, never be replaced
     # by some other set
-    def forcing_lift(g):
-        leaf = next(u for u in range(g.n) if g.degree(u) == 1)
-        return WitnessReport(filled=1 << leaf, route="broken",
-                             guaranteed_bound=(g.n - 1) // 2)
+    leaf_pair = witness._leaf_pair
 
-    monkeypatch.setattr(witness, "_lift_leaf", forcing_lift)
+    def forcing_leaf_pair(g, v):
+        sub, _ = leaf_pair(g, v)
+        return sub, lambda filled: (1 << v, "broken")
+
+    monkeypatch.setattr(witness, "_leaf_pair", forcing_leaf_pair)
     g = path_graph(5)
     assert derived_set(g, 1 << 0) == g.full
     with pytest.raises(ConstructionError):
@@ -239,6 +224,50 @@ def test_route_that_does_not_stall_fails_loudly(monkeypatch, capsys):
         witness_general(g)
     assert cli.main(["witness", write_graph6(g)]) == 2
     assert "construction failed" in capsys.readouterr().err
+
+
+def lift_at_every_low_degree_vertex(n, stalled_sets):
+    """Reduce every connected n-vertex class at each vertex of degree 1 or 2,
+    lift the given stalled sets of the reduced graph and check the paper's
+    lift step on each; returns (reductions, sets lifted)."""
+    reductions = lifted = 0
+    for g in generate_graphs(n):
+        if not is_connected(g):
+            continue
+        for v in range(n):
+            if g.degree(v) > 2:
+                continue
+            reduce = witness._leaf_pair if g.degree(v) == 1 else witness._degree2_path
+            sub, lift = reduce(g, v)
+            for s in stalled_sets(sub):
+                fill, tag = lift(s)
+                # stalled, a proper subset, and at least one vertex larger
+                assert derived_set(g, fill) == fill != g.full, (write_graph6(g), v, s, tag)
+                assert fill.bit_count() >= s.bit_count() + 1, (write_graph6(g), v, s, tag)
+                lifted += 1
+            reductions += 1
+    return reductions, lifted
+
+
+def every_stalled_set(g):
+    return [s for s in range(g.full) if is_stalled(g, s)]
+
+
+def exact_witness(g):
+    # a maximum failed set is stalled, so lifting it gives F(G) >= F(G') + 1
+    return [failed_zero_forcing_number(g).witness]
+
+
+def test_lift_lemma_on_every_stalled_set():
+    counts = [lift_at_every_low_degree_vertex(n, every_stalled_set) for n in range(3, 8)]
+    assert counts == [(6, 6), (16, 22), (56, 176), (269, 1609), (1824, 21444)]
+    assert lift_at_every_low_degree_vertex(8, exact_witness) == (19266, 19266)
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
+                    reason="about 18 s of CPU; set RUN_EXTENDED=1")
+def test_extended_lift_lemma_on_exact_witnesses_n9():
+    assert lift_at_every_low_degree_vertex(9, exact_witness) == (339292, 339292)
 
 
 # The two digests below pin the construction's output, one row
