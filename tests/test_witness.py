@@ -106,22 +106,42 @@ def assert_both_sides_stall(g, rep):
     assert is_stalled(g, other)
 
 
-def test_local_max_cut_leaves_both_sides_stalled():
+def test_algo1_on_k4():
     g = complete_graph(4)
     rep = witness_delta3(g)
     assert_local_max_cut(g, rep)
     assert rep.filled.bit_count() == 2
     assert_both_sides_stall(g, rep)
+
+
+def test_algo1_on_petersen():
     g = petersen_graph()
     rep = witness_delta3(g)
     assert_local_max_cut(g, rep)
     assert rep.filled.bit_count() >= 5
     assert_both_sides_stall(g, rep)
+
+
+def test_algo1_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="minimum degree 3"):
+        witness_delta3(path_graph(5))
     # a disconnected graph is accepted and takes the same route
     g = two_disjoint_cliques()
     rep = witness_delta3(g)
     assert_local_max_cut(g, rep)
     assert_both_sides_stall(g, rep)
+
+
+def test_cut_vertex_rejects_bad_inputs():
+    # a cut vertex does not lift the minimum-degree requirement
+    # two triangles sharing vertex 2
+    low = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    assert low.min_degree() == 2
+    with pytest.raises(ValueError, match="minimum degree 3"):
+        witness_delta3(low)
+    # with or without a cut vertex the route is the same
+    assert witness_delta3(complete_graph(5)).route == "local-max-cut"
+    assert witness_delta3(two_cliques_sharing_vertex()).route == "local-max-cut"
 
 
 def test_delta3_on_every_small_class():
@@ -136,10 +156,7 @@ def test_delta3_on_every_small_class():
 
 
 def test_delta3_rejects_low_degree():
-    # a cut vertex does not lift the requirement: two triangles sharing vertex 2
-    low = from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    assert low.min_degree() == 2
-    for g in (path_graph(5), cycle_graph(6), complete_bipartite(2, 3), low):
+    for g in (path_graph(5), cycle_graph(6), complete_bipartite(2, 3)):
         with pytest.raises(ValueError, match="minimum degree 3"):
             witness_delta3(g)
 
