@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from .census import check_census_args, run_census
@@ -41,7 +42,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and shared by every later one:
+    parse_args keeps no state between calls, and building costs more than
+    parsing."""
     parser = _Parser(prog="zeroforcing", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -61,23 +61,49 @@ def _check_cap(g: Graph, cap: int) -> None:
 def _zero_forcing_value(g: Graph) -> int:
     """The zero forcing number alone, with no witness and no cap check.
 
+    Vertices u and v are twins when N(u) minus v equals N(v) minus u.
+    Twinship is an equivalence: twins joined by an edge share their closed
+    neighborhood, twins not joined share their open one, and a vertex
+    cannot be an adjacent twin of one vertex and a non-adjacent twin of
+    another.  Every forcing set S holds all but at most one vertex of
+    each twin class: a vertex outside {u, v} sees both twins or neither,
+    so it cannot force either while both are unfilled, and neither twin
+    forces before it is filled.  Swapping two twins is an automorphism,
+    so S can be mapped, without changing its size, onto a forcing set
+    that holds S0, every vertex of a twin class except its highest.  So Z
+    is the least size of a forcing set that holds S0.
+
     The wavefront keeps the cheapest known cost of each closed set,
-    starting from the closure of the empty set at cost 0, and expands sets
-    in order of cost.  Growing a closed set S by the closed neighborhood
-    N[v] costs |N[v] \\ S| - 1 (fill all of it but one vertex, which v
+    starting from the closure of S0 at cost |S0|, and expands sets in
+    order of cost.  Growing a closed set C by the closed neighborhood
+    N[v] costs |N[v] \\ C| - 1 (fill all of it but one vertex, which v
     then forces), or 1 when that is 0 (v alone, with no neighbor outside
-    S); the grown set is then closed.  Every step can be paid for by
-    adding that many vertices to a set whose closure is S, so Z is at most
-    the cost at which the whole vertex set is reached, and Brimkov, Fast
-    and Hicks show the two are equal.
+    C); the grown set is then closed.  So every set reached at cost c is
+    the closure of c vertices that include S0, and the cost at which the
+    whole vertex set is reached is at least Z.  It is at most Z by the
+    charging argument of Brimkov, Fast and Hicks, which holds from this
+    start: take a forcing set S that holds S0, so the start cost |S0| is
+    paid by vertices of S inside C.  While C is not everything, take the
+    first force v -> w of S's chronology with w outside C (or, when none
+    is left, any v of S outside C).  Every vertex filled before that
+    force lies in C or in S, so N[v] \\ C is w plus vertices of S, and
+    growing by N[v] costs at most the number of vertices of S it adds to
+    C.  So the cost of C never exceeds the number of vertices of S in it,
+    and the whole vertex set is reached at cost at most |S| = Z.
     """
-    adj, full = g.adj, g.full
+    adj, full, n = g.adj, g.full, g.n
     closed_nbhd = [a | 1 << v for v, a in enumerate(adj)]
-    start = _derived(adj, full, 0)
-    best = {start: 0}
-    buckets: list[list[int]] = [[] for _ in range(g.n + 1)]  # Z <= n
-    buckets[0].append(start)
-    cost = 0
+    twins = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
+                twins |= 1 << u
+                break
+    cost = twins.bit_count()
+    start = _derived(adj, full, twins)
+    best = {start: cost}
+    buckets: list[list[int]] = [[] for _ in range(n + 1)]  # Z <= n
+    buckets[cost].append(start)
     while best.get(full) != cost:
         for s in buckets[cost]:
             if best[s] != cost:
@@ -87,7 +113,7 @@ def _zero_forcing_value(g: Graph) -> int:
                 if not grow:
                     continue
                 child_cost = cost + (grow.bit_count() - 1 or 1)
-                if child_cost >= best.get(full, g.n + 1):
+                if child_cost >= best.get(full, n + 1):
                     continue  # could not lead to a cheaper whole set
                 child = _derived(adj, full, s | grow)
                 if child_cost < best.get(child, child_cost + 1):

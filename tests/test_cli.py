@@ -180,6 +180,35 @@ def test_usage_error_exits_1(capsys):
     assert err.value.code == 1
 
 
+def test_repeated_calls_share_one_parser_and_repeat_their_output(capsys):
+    calls = (["analyze", "Bg"], ["census"], ["--help"],
+             ["witness", write_graph6(path_graph(7))], ["analyze", "Bg"])
+
+    def outcome(args):
+        try:
+            code = run(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [outcome(args) for args in calls]
+    assert [code for code, _, _ in first] == [0, 1, 0, 0, 0]
+    assert first[0] == first[-1] and first[0][1]
+    assert "usage: zeroforcing" in first[2][1]
+    assert [outcome(args) for args in calls] == first
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    code = "import sys, zeroforcing.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
 def test_witness_command(capsys):
     assert run(["witness", write_graph6(path_graph(7))]) == 0
     out = capsys.readouterr().out

@@ -180,7 +180,9 @@ def test_small_fort_rules_match_the_naive_smallest_fort():
     (cycle_graph(20), 2, 10),
     (path_graph(20), 1, 9),
     (complete_bipartite(10, 10), 18, 18),
-], ids=["K20", "C20", "P20", "K10,10"])
+    (complete_bipartite(2, 17), 17, 17),
+    (complete_bipartite(3, 16), 17, 17),
+], ids=["K20", "C20", "P20", "K10,10", "K2,17", "K3,16"])
 def test_numbers_at_the_vertex_cap(g, z, f):
     zero = zero_forcing_number(g)
     failed = failed_zero_forcing_number(g)
@@ -208,7 +210,8 @@ def test_closed_forms_above_the_cap():
         value, first = naive_first_zero(adj)
         assert (value, naive_first_failed(adj)[0]) == (z, f), write_graph6(g)
         assert witness in (None, first)
-    for g, z, witness, f in _closed_forms(range(21, 31), [24], [(8, 8)]):
+    large = [(8, 8)] + [(a, b) for a in (2, 3) for b in range(14, 31)]
+    for g, z, witness, f in _closed_forms(range(21, 31), [24], large):
         zero = zero_forcing_number(g, cap=g.n)
         failed = failed_zero_forcing_number(g, cap=g.n)
         assert (zero.value, failed.value) == (z, f), write_graph6(g)
