@@ -38,6 +38,7 @@ labelled or which task found it.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -675,11 +676,7 @@ def run_census(max_n: int, k_max: int = 4, jobs: int = 1) -> CensusTable:
     table = CensusTable(max_n=max_n, k_max=k_max)
     tasks = _level_slices(max_n, k_max)
     workers = min(jobs, os.cpu_count() or 1)
-    pool = None
-    if workers > 1:
-        import multiprocessing  # only a pool needs it, and it is slow to import
-
-        pool = multiprocessing.get_context("fork").Pool(workers)
+    pool = multiprocessing.get_context("fork").Pool(workers) if workers > 1 else None
     try:
         for part in map(_shard, tasks) if pool is None else pool.imap(_shard, tasks):
             table.merge(part)

@@ -200,15 +200,6 @@ def test_repeated_calls_share_one_parser_and_repeat_their_output(capsys):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_importing_the_cli_leaves_multiprocessing_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-    code = "import sys, zeroforcing.cli; print('multiprocessing' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "False\n")
-
-
 def test_witness_command(capsys):
     assert run(["witness", write_graph6(path_graph(7))]) == 0
     out = capsys.readouterr().out
