@@ -28,11 +28,14 @@ checks every graph against the proven bounds and the open n <= k + 4
 conjecture.  The exact zero forcing number Z is computed only where a
 tally or a check reads it: for 1 <= F <= k_max, for n > F + 4, and where
 F's own witness plus one vertex does not certify Z <= F + 1.  Since a
-child is kept or dropped by its own parent alone, the top level is split
-by parents: each task tallies the children of its own slice of parents
-into a table, and the tables are merged.  The census prints canonical
-graph6 records, so its document does not depend on how a class was
-labelled or which task found it.
+child is kept or dropped by its own parent alone, the subtree under each
+class is independent of the others, so the census is split at level
+max(1, max_n - 2): the calling process generates only the levels up to
+it, and each task tallies a slice of that level, with its children and
+grandchildren generated in the task, into a table; the lower levels go
+out as slices that are only evaluated, and the tables are merged.  The
+census prints canonical graph6 records, so its document does not depend
+on how a class was labelled or which task found it.
 """
 
 from __future__ import annotations
@@ -51,12 +54,13 @@ from .graph6_io import _graph6_of_bits, _pack_bits
 from .graph_core import Graph, is_connected
 
 BUILTIN_MAX = 10
-# Graphs per census task.  On a 2-core machine, a slice of 32 n = 7
-# parents takes 0.010 s of generation and evaluation on average and
-# 0.020 s at most (32 n = 8 parents: 0.020 s and 0.10 s), against 0.1 to
-# 0.4 ms of pool traffic per task, and the n = 8 level still splits into
-# 33 tasks, so no worker idles long at the end.
-SLICE = 32
+# Classes per census task.  On a 2-core machine, a slice of 4 n = 6
+# classes, with its children and grandchildren, takes 10 ms of generation
+# and evaluation on average and 35 ms at most (4 n = 7 classes down to
+# n = 9: 34 ms and 0.34 s), against about 0.06 ms of pool traffic per
+# task, and the n <= 8 census still splits n = 6 into 39 tasks, so no
+# worker idles long at the end.
+SLICE = 4
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +444,9 @@ def generate_graphs(n: int) -> Iterator[Graph]:
 
     Built-in generation covers 1 <= n <= BUILTIN_MAX (10).  Levels below
     it are cached, about 106 MB at n = 9; n = 10 streams from them without
-    being cached.  Includes disconnected classes; filter downstream.
+    being cached.  A census caches only the levels up to max_n - 2 (8 at
+    most) and generates the two above inside its tasks.  Includes
+    disconnected classes; filter downstream.
     """
     if not 1 <= n <= BUILTIN_MAX:
         raise ValueError(f"built-in generation covers 1..{BUILTIN_MAX}, not {n}")
@@ -616,35 +622,39 @@ def _zero_if_read(g: Graph, failed: ExactResult, k_max: int) -> int | None:
     return _zero_forcing_value(g)
 
 
-def _shard(task: tuple[tuple[Graph, ...], int, int]) -> CensusTable:
-    """The tallies of one slice of a built-in level, its class count and
-    the values of its connected classes: the children of a slice of
-    (n-1)-vertex parents, which are generated here, or a slice of n-vertex
-    classes already generated.  Each class gets its exact F, and its exact
-    Z only where _zero_if_read finds it read."""
-    graphs, n, k_max = task
-    if graphs[0].n < n:
-        # generated whole first: resuming the generator between evaluations
-        # made the n <= 8 census about 6 % slower
-        graphs = tuple(_novel_extensions(graphs, n))
-    table = CensusTable(max_n=n, k_max=k_max)
-    table.class_totals[n] = len(graphs)
-    for g in graphs:
-        if is_connected(g):
-            failed = failed_zero_forcing_number(g)
-            table.add(g, _zero_if_read(g, failed, k_max), failed.value)
+def _shard(task: tuple[tuple[Graph, ...], int, int, int]) -> CensusTable:
+    """The tallies of a slice of n-vertex classes and of the subtree under
+    it down to last vertices (its children, their children, and so on,
+    generated here level by level): the class count of each level and the
+    values of its connected classes.  Each class gets its exact F, and its
+    exact Z only where _zero_if_read finds it read."""
+    graphs, n, last, k_max = task
+    table = CensusTable(max_n=last, k_max=k_max)
+    for m in range(n, last + 1):
+        if m > n:
+            # generated whole first: resuming the generator between
+            # evaluations made the n <= 8 census about 6 % slower
+            graphs = tuple(_novel_extensions(graphs, m))
+        table.class_totals[m] = len(graphs)
+        for g in graphs:
+            if is_connected(g):
+                failed = failed_zero_forcing_number(g)
+                table.add(g, _zero_if_read(g, failed, k_max), failed.value)
     return table
 
 
-def _level_slices(top: int, k_max: int) -> Iterator[tuple[tuple[Graph, ...], int, int]]:
-    """The levels 1..top as _shard tasks of SLICE graphs each.  The top
-    level is sliced by its parents, _classes(top - 1), whose cache holds
-    every level below it, so each class is generated once: a level below
-    the top here, the top level inside its own slices."""
-    for n in range(1, top + 1):
-        graphs = _classes(n - 1) if n == top > 1 else _classes(n)
+def _level_slices(top: int, k_max: int) -> Iterator[tuple[tuple[Graph, ...], int, int, int]]:
+    """The levels 1..top as _shard tasks, each a slice of SLICE classes of
+    one level up to split = max(1, top - 2), the levels _classes generates
+    and caches here.  A slice of a level below split is only evaluated; a
+    slice of split carries its subtree down to top, so each class is
+    generated once, and the two levels under split only inside the tasks."""
+    split = max(1, top - 2)
+    for n in range(1, split + 1):
+        graphs = _classes(n)
+        last = top if n == split else n
         for i in range(0, len(graphs), SLICE):
-            yield graphs[i:i + SLICE], n, k_max
+            yield graphs[i:i + SLICE], n, last, k_max
 
 
 def check_census_args(max_n: int, k_max: int, jobs: int) -> None:
@@ -664,9 +674,9 @@ def run_census(max_n: int, k_max: int = 4, jobs: int = 1) -> CensusTable:
     """Exact census of the connected classes for every n up to max_n, from
     built-in generation (n <= BUILTIN_MAX).
 
-    The levels go out in slices of SLICE graphs: the top level as slices
-    of its parents, each slice generating and evaluating its own children,
-    and the levels below it from the cache those parents fill.  The tasks
+    The levels up to max(1, max_n - 2) are generated here and go out in
+    slices of SLICE classes; a slice of the last of them generates and
+    evaluates its own children and grandchildren (_level_slices).  The tasks
     run in min(jobs, os.cpu_count()) forked workers, or in this process
     when that is 1, and each returns its slice's tallies as a CensusTable
     for this process to merge; the output is identical for any job count.

@@ -125,7 +125,16 @@ def connected_components(g: Graph) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    """Does one search from vertex 0 reach every vertex?  The graph on no
+    vertices has no component, so it is not connected."""
+    reached = frontier = g.full & 1
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        grown = g.adj[bit.bit_length() - 1] & ~reached
+        reached |= grown
+        frontier |= grown
+    return g.n > 0 and reached == g.full
 
 
 def _reindex(g: Graph, keep: int) -> tuple[list[int], tuple[int, ...]]:

@@ -517,7 +517,25 @@ def test_census_generates_each_level_once(monkeypatch):
 
     monkeypatch.setattr(census, "_novel_extensions", counted)
     run_census(max_n=7, k_max=4, jobs=1)
-    assert parents_seen == {n: len(classes(n - 1)) for n in range(2, 8)}
+    # classes(6) below is generated through the spy, so count before it runs
+    seen = dict(parents_seen)
+    assert seen == {n: len(classes(n - 1)) for n in range(2, 8)}
+
+
+def test_census_leaves_the_top_two_levels_to_its_tasks(monkeypatch):
+    cached = lru_cache(maxsize=None)(census._classes.__wrapped__)
+    asked = []
+
+    def spy(n):
+        asked.append(n)
+        return cached(n)
+
+    monkeypatch.setattr(census, "_classes", spy)  # a cold cache, restored afterwards
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    table = run_census(max_n=8, k_max=4, jobs=2)
+    assert max(asked) == 6
+    # the forked workers generated the other two levels, each class once
+    assert table.class_totals == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def test_census_pool_is_bounded_by_the_cores(monkeypatch):

@@ -9,6 +9,7 @@ from zeroforcing import (
     connected_components,
     cycle_graph,
     from_edges,
+    generate_graphs,
     induced_subgraph,
     is_connected,
     iter_bits,
@@ -86,6 +87,19 @@ def test_components_match_naive():
         ours = [set(vertices_of(c)) for c in connected_components(g)]
         theirs = naive_components(n, adj_sets(g))
         assert sorted(map(sorted, ours)) == sorted(map(sorted, theirs))
+
+
+def test_is_connected_matches_the_components():
+    # every class with n <= 8, then random graphs, some of them sparse
+    # enough to split; n = 1 is a class of the first level
+    graphs = [g for n in range(1, 9) for g in generate_graphs(n)]
+    rng = random.Random(13)
+    graphs += [random_graph(rng, n, rng.uniform(0.05, 0.5))
+               for n in rng.choices(range(1, 30), k=500)]
+    assert sum(not is_connected(g) for g in graphs) > 1000
+    for g in graphs:
+        assert is_connected(g) == (len(connected_components(g)) == 1), g
+    assert is_connected(from_edges(1, []))
 
 
 def test_induced_subgraph():
