@@ -644,11 +644,12 @@ def _shard(task: tuple[tuple[Graph, ...], int, int, int]) -> CensusTable:
 
 
 def _level_slices(top: int, k_max: int) -> Iterator[tuple[tuple[Graph, ...], int, int, int]]:
-    """The levels 1..top as _shard tasks, each a slice of SLICE classes of
-    one level up to split = max(1, top - 2), the levels _classes generates
-    and caches here.  A slice of a level below split is only evaluated; a
-    slice of split carries its subtree down to top, so each class is
-    generated once, and the two levels under split only inside the tasks."""
+    """The levels 1..top as _shard tasks of SLICE classes each, taken from
+    the levels up to split = max(1, top - 2), the only ones _classes
+    generates and caches here.  A slice of a level below split is only
+    evaluated; a slice of split carries its subtree up to top vertices, so
+    each class is generated once, and the levels above split only inside
+    the tasks."""
     split = max(1, top - 2)
     for n in range(1, split + 1):
         graphs = _classes(n)
