@@ -24,9 +24,7 @@ from .exact import (
 )
 from .forcing import (
     derived_set,
-    is_stalled,
     is_zero_forcing,
-    spent_vertices,
 )
 from .graph6_io import Graph6Error, parse_graph6, write_graph6
 from .graph_core import (
@@ -42,7 +40,6 @@ from .graph_core import (
     iter_bits,
     mask_of,
     path_graph,
-    petersen_graph,
     vertices_of,
 )
 from .witness import (
@@ -77,15 +74,12 @@ __all__ = [
     "generate_graphs",
     "induced_subgraph",
     "is_connected",
-    "is_stalled",
     "is_zero_forcing",
     "iter_bits",
     "mask_of",
     "parse_graph6",
     "path_graph",
-    "petersen_graph",
     "run_census",
-    "spent_vertices",
     "verify_witness",
     "vertices_of",
     "witness_delta3",

@@ -624,22 +624,30 @@ def _zero_if_read(g: Graph, failed: ExactResult, k_max: int) -> int | None:
 
 def _shard(task: tuple[tuple[Graph, ...], int, int, int]) -> CensusTable:
     """The tallies of a slice of n-vertex classes and of the subtree under
-    it down to last vertices (its children, their children, and so on,
-    generated here level by level): the class count of each level and the
-    values of its connected classes.  Each class gets its exact F, and its
-    exact Z only where _zero_if_read finds it read."""
+    it down to last vertices: the class count of each level and the values
+    of its connected classes.  The subtree is walked depth first by sibling
+    groups: evaluate a group, generate each member's children as one tuple,
+    then walk those tuples in turn.  So a worker holds the slice's children
+    and the grandchildren of one slice class, not every grandchild of the
+    slice.  Each class gets its exact F, and its exact Z only where
+    _zero_if_read finds it read."""
     graphs, n, last, k_max = task
     table = CensusTable(max_n=last, k_max=k_max)
-    for m in range(n, last + 1):
-        if m > n:
-            # generated whole first: resuming the generator between
-            # evaluations made the n <= 8 census about 6 % slower
-            graphs = tuple(_novel_extensions(graphs, m))
-        table.class_totals[m] = len(graphs)
-        for g in graphs:
+
+    def walk(siblings: tuple[Graph, ...], m: int) -> None:
+        table.class_totals[m] += len(siblings)
+        for g in siblings:
             if is_connected(g):
                 failed = failed_zero_forcing_number(g)
                 table.add(g, _zero_if_read(g, failed, k_max), failed.value)
+        if m < last:
+            # every sibling's children before any is walked: walking each
+            # parent's children right after generating them made the n <= 8
+            # census 3 % (--jobs 1) to 6 % (--jobs 2) slower
+            for children in [tuple(_novel_extensions((g,), m + 1)) for g in siblings]:
+                walk(children, m + 1)
+
+    walk(graphs, n)
     return table
 
 
@@ -647,9 +655,9 @@ def _level_slices(top: int, k_max: int) -> Iterator[tuple[tuple[Graph, ...], int
     """The levels 1..top as _shard tasks of SLICE classes each, taken from
     the levels up to split = max(1, top - 2), the only ones _classes
     generates and caches here.  A slice of a level below split is only
-    evaluated; a slice of split carries its subtree up to top vertices, so
-    each class is generated once, and the levels above split only inside
-    the tasks."""
+    evaluated; a slice of split carries its subtree up to top vertices,
+    which _shard walks one slice class at a time, so each class is
+    generated once, and the levels above split only inside the tasks."""
     split = max(1, top - 2)
     for n in range(1, split + 1):
         graphs = _classes(n)

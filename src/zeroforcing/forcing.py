@@ -41,19 +41,3 @@ def is_zero_forcing(g: Graph, filled: int) -> bool:
     """Does the mask force the whole graph?"""
     return derived_set(g, filled) == g.full
 
-
-def is_stalled(g: Graph, filled: int) -> bool:
-    """Is the mask a proper subset equal to its own closure?"""
-    return filled != g.full and derived_set(g, filled) == filled
-
-
-def spent_vertices(g: Graph, filled: int) -> int:
-    """Mask of filled vertices whose whole neighborhood is filled."""
-    spent = 0
-    scan = filled
-    while scan:
-        bit = scan & -scan
-        scan ^= bit
-        if not g.adj[bit.bit_length() - 1] & ~filled:
-            spent |= bit
-    return spent

@@ -67,26 +67,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degrees()) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.n):
-            for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
-                out.append((u, v))
-        return out
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        """Copy of the graph with edge (u, v) added."""
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
-
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, validating every endpoint."""
@@ -205,9 +185,3 @@ def complete_graph(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
-
-def petersen_graph() -> Graph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return from_edges(10, edges)

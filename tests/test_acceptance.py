@@ -113,6 +113,10 @@ def test_criterion_8_property_suites():
     props.test_unspent_stalled_sets_survive_any_edge_addition()
 
 
+# sha256 of the n <= 9 document, `census --max-n 9 --k-max 4 --format structured`
+N9_SHA256 = "b3ba87b136aaa58562cc6360a75dd1feefc5df28a6f3507f43e8fac380788f12"
+
+
 def test_criterion_9_infrastructure(census_n8):
     known = {7: (1044, 853), 8: (12346, 11117), 9: (274668, 261080)}
     # as `census --max-n 9 --jobs 2` runs it: n = 9 generated in the workers
@@ -129,6 +133,7 @@ def test_criterion_9_infrastructure(census_n8):
     assert table.f_total(4) == 640  # all but the one n = 10 class
     assert table.e_total(4) == 50
     assert table.violations == []
+    assert hashlib.sha256(table.to_json().encode()).hexdigest() == N9_SHA256
     serial = run_census(max_n=8, k_max=4, jobs=1)
     assert serial.to_json() == census_n8.to_json()
     assert serial.to_text_table() == census_n8.to_text_table()

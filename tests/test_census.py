@@ -25,7 +25,6 @@ from zeroforcing import (
     is_connected,
     parse_graph6,
     path_graph,
-    petersen_graph,
     run_census,
     vertices_of,
     write_graph6,
@@ -34,7 +33,7 @@ from zeroforcing import (
 from zeroforcing import census
 from zeroforcing.census import _canon_bits, _classes, _novel_extensions, _subset_orbit
 
-from conftest import random_graph
+from conftest import edges, petersen_graph, random_graph
 from naive import adj_sets, are_isomorphic, count_classes_by_dedupe, naive_refine
 
 
@@ -45,8 +44,7 @@ def test_canonical_form_invariant_under_relabeling():
         g = random_graph(rng, n, rng.uniform(0.1, 0.9))
         perm = list(range(n))
         rng.shuffle(perm)
-        edges = [(perm[u], perm[v]) for u, v in g.edges()]
-        h = from_edges(n, edges)
+        h = from_edges(n, [(perm[u], perm[v]) for u, v in edges(g)])
         assert canonical_form(g) == canonical_form(h)
 
 
@@ -127,7 +125,7 @@ def _vertex_orbits(n, pairs):
 def _networkx_graph(g, marked=None):
     graph = nx.Graph()
     graph.add_nodes_from(range(g.n))
-    graph.add_edges_from(g.edges())
+    graph.add_edges_from(edges(g))
     nx.set_node_attributes(graph, {u: u == marked for u in range(g.n)}, "marked")
     return graph
 
@@ -157,7 +155,7 @@ def test_automorphism_generators_match_networkx():
         for bit_map, image in zip(generators, _images(generators)):
             assert bit_map == [1 << x for x in image]
             assert sorted(image) == list(range(g.n))
-            assert sorted(tuple(sorted((image[u], image[w]))) for u, w in g.edges()) == g.edges()
+            assert sorted(tuple(sorted((image[u], image[w]))) for u, w in edges(g)) == edges(g)
         ours = _vertex_orbits(g.n, [(u, image[u]) for image in _images(generators) for u in range(g.n)])
         theirs = _vertex_orbits(g.n, [(u, w) for u in range(g.n) for w in range(u + 1, g.n)
                                       if next(_networkx_automorphisms(g, u, w), None)])

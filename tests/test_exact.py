@@ -16,13 +16,12 @@ from zeroforcing import (
     is_zero_forcing,
     mask_of,
     path_graph,
-    petersen_graph,
     vertices_of,
     write_graph6,
     zero_forcing_number,
 )
 
-from conftest import random_graph
+from conftest import petersen_graph, random_graph
 from naive import (
     adj_sets,
     naive_first_failed,
@@ -93,6 +92,10 @@ def test_witnesses_match_naive_first_subsets_on_random_graphs():
         disconnected += not is_connected(g)
         _assert_first_witnesses(g)
     assert disconnected >= 5  # sanity: the sparse draws split up
+    # and n = 13..16 at three densities, drawn after the graphs above
+    for n in range(13, 17):
+        for p in (0.2, 0.5, 0.8) * 2:
+            _assert_first_witnesses(random_graph(rng, n, p))
 
 
 def test_failed_number_is_n_minus_smallest_fort():

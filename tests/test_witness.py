@@ -17,12 +17,9 @@ from zeroforcing import (
     from_edges,
     generate_graphs,
     is_connected,
-    is_stalled,
     mask_of,
     parse_graph6,
     path_graph,
-    petersen_graph,
-    spent_vertices,
     verify_witness,
     vertices_of,
     witness_delta3,
@@ -30,6 +27,8 @@ from zeroforcing import (
     write_graph6,
 )
 from zeroforcing import cli, witness
+
+from conftest import edges, petersen_graph
 
 
 def two_cliques_sharing_vertex():
@@ -45,7 +44,7 @@ def two_disjoint_cliques():
 
 
 def two_cliques_joined_by_a_bridge():
-    return two_disjoint_cliques().with_edge(3, 4)
+    return from_edges(8, edges(two_disjoint_cliques()) + [(3, 4)])
 
 
 def assert_local_max_cut(g, rep):
@@ -53,7 +52,7 @@ def assert_local_max_cut(g, rep):
     assert rep.guaranteed_bound == (g.n + 1) // 2
     for v in vertices_of(rep.filled):
         assert (g.adj[v] & ~rep.filled).bit_count() >= 2
-    assert is_stalled(g, rep.filled)
+    assert derived_set(g, rep.filled) == rep.filled != g.full
     assert verify_witness(g, rep) == ()
 
 
@@ -102,8 +101,8 @@ def assert_both_sides_stall(g, rep):
     other = g.full & ~rep.filled
     assert rep.filled.bit_count() + other.bit_count() == g.n
     assert rep.filled.bit_count() >= other.bit_count()
-    assert is_stalled(g, rep.filled)
-    assert is_stalled(g, other)
+    assert derived_set(g, rep.filled) == rep.filled != g.full
+    assert derived_set(g, other) == other != g.full
 
 
 def test_algo1_on_k4():
@@ -206,7 +205,7 @@ def test_general_returns_literally_stalled_sets():
         g = random_graph(rng, n, rng.uniform(0.1, 0.8))
         rep = witness_general(g)
         if n > 2:
-            assert is_stalled(g, rep.filled)
+            assert derived_set(g, rep.filled) == rep.filled != g.full
         assert rep.filled.bit_count() >= (n - 1) // 2
 
 
@@ -267,7 +266,7 @@ def lift_at_every_low_degree_vertex(n, stalled_sets):
 
 
 def every_stalled_set(g):
-    return [s for s in range(g.full) if is_stalled(g, s)]
+    return [s for s in range(g.full) if derived_set(g, s) == s]
 
 
 def exact_witness(g):
@@ -341,11 +340,11 @@ def test_partition_fill_survives_edge_additions():
     rep = witness_delta3(g)
     assert rep.route == "local-max-cut"
     fill = rep.filled
-    assert spent_vertices(g, fill) == 0
+    assert all(g.adj[v] & ~fill for v in vertices_of(fill))
     h = g
     non_edges = [(u, v) for u in range(10) for v in range(u + 1, 10)
-                 if not g.has_edge(u, v)]
+                 if not g.adj[u] >> v & 1]
     rng.shuffle(non_edges)
     for u, v in non_edges[:20]:
-        h = h.with_edge(u, v)
-        assert is_stalled(h, fill)
+        h = from_edges(10, edges(h) + [(u, v)])
+        assert derived_set(h, fill) == fill != h.full
