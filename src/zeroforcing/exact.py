@@ -23,12 +23,14 @@ smallest sizes are settled by rule, with no search:
   v are true or false twins), since a vertex outside adjacent to just
   one of them would have exactly one neighbor in it.
 
-A depth-first search over forts of growing size finds the smallest fort
-of three or more vertices.
+A smallest fort of three or more vertices comes from one depth-first
+search under a size cap raised one vertex at a time.  Each size resumes
+from the nodes the last cap cut off, so no size is searched twice.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .forcing import _derived
@@ -167,10 +169,12 @@ def _is_fort(adj: tuple[int, ...], fort: int, outside: int) -> bool:
     return True
 
 
-def _largest_fort(adj: tuple[int, ...], full: int, cap: int) -> int | None:
-    """The numerically largest fort of at most cap vertices, if any.
+def _smallest_fort(adj: tuple[int, ...], full: int) -> int:
+    """The numerically largest of the smallest forts, on a graph with no
+    fort of fewer than three vertices.
 
-    Depth-first search over (inside, outside) decisions.  Each branching
+    Depth-first search over (inside, outside) decisions under a cap on
+    the fort size, raised one vertex at a time from 3.  Each branching
     node decides its highest undecided vertex, trying inside before
     outside.  Every fort below the node agrees on the vertices above that
     one, so the inside branch holds only larger forts than the outside
@@ -183,11 +187,31 @@ def _largest_fort(adj: tuple[int, ...], full: int, cap: int) -> int | None:
     joining would leave u with exactly one inside.  Every fort below the
     node makes the same choices, so settling skips no fort.  Only the
     excluded vertices in dirty, whose neighborhoods changed, are
-    examined, and each decision marks the ones it touches.
+    examined, and each decision marks the ones it touches.  Settling does
+    not read the cap.
 
-    A node whose fort has reached cap vertices is a leaf: the rest of the
-    vertices stay outside, and one fort test decides it.
+    A node whose fort has reached the cap is a leaf: the rest of the
+    vertices stay outside, and one fort test decides it.  The cap cuts a
+    node off when its settled fort is over the cap, or at the cap with
+    vertices still undecided.  The search records each cut node, settled,
+    in the order it meets them, and the next cap resumes from those nodes
+    in that order instead of from the root.  A search from the root at
+    the next cap would walk the same tree, except that it goes on below
+    the cut nodes.  Every leaf it meets outside their subtrees is a leaf
+    of the last search with the same fort test, which failed.  The cut
+    nodes' subtrees are disjoint and lie in depth-first order, so their
+    leaves come in the same order as in that search.  So the first fort
+    met at each cap is the one the search from the root would meet first:
+    as no smaller fort exists, the numerically largest fort of exactly
+    cap vertices.
+
+    The cut nodes are kept as two words each, inside and outside, in an
+    unsigned 64-bit array (n <= 62), 16 bytes a node.  The frontier at
+    the last cap is the largest: about 2^(n/2 - 1) nodes on a path.
     """
+    cap = 3
+    cut = array("Q")
+
     def search(inside: int, outside: int, dirty: int) -> int | None:
         while dirty:
             bit = dirty & -dirty
@@ -209,18 +233,35 @@ def _largest_fort(adj: tuple[int, ...], full: int, cap: int) -> int | None:
                 dirty |= adj[open_.bit_length() - 1] & outside | open_
         size = inside.bit_count()
         if size > cap:
+            cut.append(inside)
+            cut.append(outside)
             return None
         undecided = full & ~(inside | outside)
-        if size == cap or not undecided:
-            if inside and _is_fort(adj, inside, full ^ inside):
-                return inside
-            return None
-        bit = 1 << (undecided.bit_length() - 1)
-        touched = adj[bit.bit_length() - 1] & outside
-        return (search(inside | bit, outside, touched)
-                or search(inside, outside | bit, touched | bit))
+        if size < cap and undecided:
+            v = undecided.bit_length() - 1
+            bit = 1 << v
+            touched = adj[v] & outside
+            return (search(inside | bit, outside, touched)
+                    or search(inside, outside | bit, touched | bit))
+        if inside and _is_fort(adj, inside, full ^ inside):
+            return inside
+        if undecided:
+            cut.append(inside)
+            cut.append(outside)
+        return None
 
-    return search(0, 0, 0)
+    fort = search(0, 0, 0)
+    while not fort:
+        if not cut:
+            raise AssertionError("the whole vertex set is a fort")
+        cap += 1
+        nodes = iter(cut)
+        cut = array("Q")
+        for inside in nodes:
+            fort = search(inside, next(nodes), 0)
+            if fort:
+                break
+    return fort
 
 
 def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
@@ -239,8 +280,9 @@ def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactR
     twins.  Two-vertex masks compare by their higher bit first, so the
     largest twin pair has the highest v and then the highest u, and
     scanning v and then u from the top down meets it first.
-    Otherwise `_largest_fort` searches m = 3, 4, ... and returns the
-    largest fort at the first m that has one.
+    Otherwise `_smallest_fort` raises a cap on the fort size from 3,
+    each size resuming from the nodes the last cap cut off, and returns
+    the largest fort at the first size that has one.
     """
     _check_cap(g, cap)
     adj, full, n = g.adj, g.full, g.n
@@ -252,8 +294,5 @@ def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactR
             pair = 1 << u | 1 << v
             if not (adj[u] ^ adj[v]) & ~pair:
                 return ExactResult(n - 2, full ^ pair)
-    for m in range(3, n + 1):
-        fort = _largest_fort(adj, full, m)
-        if fort is not None:
-            return ExactResult(n - m, full ^ fort)
-    raise AssertionError("the whole vertex set is a fort")
+    fort = _smallest_fort(adj, full)
+    return ExactResult(n - fort.bit_count(), full ^ fort)

@@ -14,7 +14,6 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from zeroforcing import (
     CensusTable,
     ExactResult,
-    Finding,
     canonical_form,
     check_values,
     complete_bipartite,

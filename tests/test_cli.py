@@ -17,7 +17,7 @@ from zeroforcing import (
     write_graph6,
 )
 from zeroforcing import cli
-from zeroforcing.graph_core import complete_graph, path_graph
+from zeroforcing.graph_core import path_graph
 
 
 def run(args, stdin=""):

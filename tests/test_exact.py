@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 
 import pytest
@@ -96,6 +97,42 @@ def test_witnesses_match_naive_first_subsets_on_random_graphs():
     for n in range(13, 17):
         for p in (0.2, 0.5, 0.8) * 2:
             _assert_first_witnesses(random_graph(rng, n, p))
+
+
+def _sparse_shapes(ns, seed):
+    """Two graphs per n in ns, the shapes taken in turn from a cycle, a
+    cycle with one chord and a path, each relabelled at random."""
+    rng = random.Random(seed)
+    shapes = itertools.cycle(("cycle", "chord", "path"))
+    graphs = []
+    for n in ns:
+        for shape in (next(shapes), next(shapes)):
+            edges = [(i, i + 1) for i in range(n - 1)]
+            if shape != "path":
+                edges.append((n - 1, 0))
+            if shape == "chord":
+                a = rng.randrange(n)
+                edges.append((a, (a + rng.randint(2, n - 2)) % n))
+            label = rng.sample(range(n), n)
+            graphs.append(from_edges(n, [(label[u], label[v]) for u, v in edges]))
+    return graphs
+
+
+def _assert_deep_fort_searches(graphs):
+    for g in graphs:
+        # a smallest fort of 7 or more vertices: the F search runs through 5 or more sizes
+        assert failed_zero_forcing_number(g, cap=g.n).value <= g.n - 7, write_graph6(g)
+        _assert_first_witnesses(g)
+
+
+def test_deep_fort_searches_match_naive():
+    _assert_deep_fort_searches(_sparse_shapes(range(13, 17), seed=53))
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
+                    reason="about 40 s of CPU; set RUN_EXTENDED=1")
+def test_extended_deep_fort_searches_match_naive():
+    _assert_deep_fort_searches(_sparse_shapes(range(17, 21), seed=54))
 
 
 def test_failed_number_is_n_minus_smallest_fort():

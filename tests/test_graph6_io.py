@@ -6,7 +6,6 @@ import pytest
 from zeroforcing import (
     Graph6Error,
     complete_graph,
-    cycle_graph,
     from_edges,
     generate_graphs,
     parse_graph6,
