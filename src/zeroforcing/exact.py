@@ -206,8 +206,8 @@ def _smallest_fort(adj: tuple[int, ...], full: int) -> int:
     cap vertices.
 
     The cut nodes are kept as two words each, inside and outside, in an
-    unsigned 64-bit array (n <= 62), 16 bytes a node.  The frontier at
-    the last cap is the largest: about 2^(n/2 - 1) nodes on a path.
+    unsigned 64-bit array (n <= 62), 16 bytes a node.  On a path their
+    number doubles with each size, to 2^(n/2 - 1) at the last.
     """
     cap = 3
     cut = array("Q")

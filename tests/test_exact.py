@@ -121,7 +121,7 @@ def _sparse_shapes(ns, seed):
 def _assert_deep_fort_searches(graphs):
     for g in graphs:
         # a smallest fort of 7 or more vertices: the F search runs through 5 or more sizes
-        assert failed_zero_forcing_number(g, cap=g.n).value <= g.n - 7, write_graph6(g)
+        assert failed_zero_forcing_number(g).value <= g.n - 7, write_graph6(g)
         _assert_first_witnesses(g)
 
 
