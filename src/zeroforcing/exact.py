@@ -31,7 +31,7 @@ from the nodes the last cap cut off, so no size is searched twice.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .forcing import _derived
 from .graph_core import Graph
@@ -44,8 +44,7 @@ class ExactCapExceeded(ValueError):
     exponentially with the vertex count."""
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """An exact value plus one witnessing vertex mask: a minimum zero
     forcing set, or a maximum failed (non-forcing) set."""
 
@@ -60,20 +59,36 @@ def _check_cap(g: Graph, cap: int) -> None:
         )
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the twin classes of two or more vertices.
+
+    Vertices u and v are twins when N(u) minus v equals N(v) minus u:
+    twins joined by an edge share their closed neighborhood, twins not
+    joined share their open one.  A vertex cannot be an adjacent twin of
+    one vertex and a non-adjacent twin of another, so twinship is an
+    equivalence, and one pass that keys each vertex v on adj[v] and on
+    adj[v] | 1 << v gathers each class under one key.  No open key N(u)
+    equals a closed key N[v]: it would hold v, so u would lie in N(v),
+    inside N[v] = N(u).
+    """
+    classes: dict[int, int] = {}
+    for v, nbrs in enumerate(adj):
+        bit = 1 << v
+        classes[nbrs] = classes.get(nbrs, 0) | bit
+        classes[nbrs | bit] = classes.get(nbrs | bit, 0) | bit
+    return [c for c in classes.values() if c & (c - 1)]
+
+
 def _zero_forcing_value(g: Graph) -> int:
     """The zero forcing number alone, with no witness and no cap check.
 
-    Vertices u and v are twins when N(u) minus v equals N(v) minus u.
-    Twinship is an equivalence: twins joined by an edge share their closed
-    neighborhood, twins not joined share their open one, and a vertex
-    cannot be an adjacent twin of one vertex and a non-adjacent twin of
-    another.  Every forcing set S holds all but at most one vertex of
-    each twin class: a vertex outside {u, v} sees both twins or neither,
-    so it cannot force either while both are unfilled, and neither twin
-    forces before it is filled.  Swapping two twins is an automorphism,
-    so S can be mapped, without changing its size, onto a forcing set
-    that holds S0, every vertex of a twin class except its highest.  So Z
-    is the least size of a forcing set that holds S0.
+    Every forcing set S holds all but at most one vertex of each twin
+    class (see `_twin_classes`): a vertex outside twins {u, v} sees both
+    or neither, so it cannot force either while both are unfilled, and
+    neither twin forces before it is filled.  Swapping two twins is an
+    automorphism, so S can be mapped, without changing its size, onto a
+    forcing set that holds S0, every vertex of a twin class except its
+    highest.  So Z is the least size of a forcing set that holds S0.
 
     The wavefront keeps the cheapest known cost of each closed set,
     starting from the closure of S0 at cost |S0|, and expands sets in
@@ -96,11 +111,8 @@ def _zero_forcing_value(g: Graph) -> int:
     adj, full, n = g.adj, g.full, g.n
     closed_nbhd = [a | 1 << v for v, a in enumerate(adj)]
     twins = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not (adj[u] ^ adj[v]) & ~(1 << u | 1 << v):
-                twins |= 1 << u
-                break
+    for c in _twin_classes(adj):
+        twins |= c ^ 1 << (c.bit_length() - 1)
     cost = twins.bit_count()
     start = _derived(adj, full, twins)
     best = {start: cost}
@@ -278,8 +290,8 @@ def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactR
     m = 1 when some vertex is isolated, and the largest such fort is the
     highest isolated vertex.  Otherwise m = 2 when some pair u < v are
     twins.  Two-vertex masks compare by their higher bit first, so the
-    largest twin pair has the highest v and then the highest u, and
-    scanning v and then u from the top down meets it first.
+    largest twin pair is the largest of the pairs made of the two highest
+    vertices of each twin class.
     Otherwise `_smallest_fort` raises a cap on the fort size from 3,
     each size resuming from the nodes the last cap cut off, and returns
     the largest fort at the first size that has one.
@@ -289,10 +301,11 @@ def failed_zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactR
     for v in range(n - 1, -1, -1):
         if not adj[v]:
             return ExactResult(n - 1, full ^ 1 << v)
-    for v in range(n - 1, 0, -1):
-        for u in range(v - 1, -1, -1):
-            pair = 1 << u | 1 << v
-            if not (adj[u] ^ adj[v]) & ~pair:
-                return ExactResult(n - 2, full ^ pair)
+    pair = 0
+    for c in _twin_classes(adj):
+        top = 1 << (c.bit_length() - 1)
+        pair = max(pair, top | 1 << ((c ^ top).bit_length() - 1))
+    if pair:
+        return ExactResult(n - 2, full ^ pair)
     fort = _smallest_fort(adj, full)
     return ExactResult(n - fort.bit_count(), full ^ fort)

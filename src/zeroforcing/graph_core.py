@@ -9,7 +9,6 @@ here treats graphs as immutable values, and every choice a function makes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 62
@@ -36,16 +35,31 @@ def vertices_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     adj[v] is the neighbor bitmask of v.  Instances are hashable and
-    compare by exact labeled structure.
+    compare by exact labeled structure.  A slotted class rather than a
+    tuple, since the searches read g.n and g.adj in their loops; nothing
+    assigns to them after construction.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        self.n = n
+        self.adj = adj
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     @property
     def full(self) -> int:

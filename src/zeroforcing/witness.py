@@ -12,8 +12,7 @@ of silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .forcing import derived_set
 from .graph_core import (
@@ -40,8 +39,7 @@ def _require(cond: bool, message: str) -> None:
         raise ConstructionError(message)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """A failed zero forcing set with its construction provenance.
 
     filled is the constructed vertex mask; guaranteed_bound is the size the

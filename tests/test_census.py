@@ -14,6 +14,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from zeroforcing import (
     CensusTable,
     ExactResult,
+    Finding,
     canonical_form,
     check_values,
     complete_bipartite,
@@ -388,6 +389,12 @@ def test_table_tallies_and_exemplars():
     assert table.connected_totals[3] == 2
     table.add(parse_graph6("Bg"), 1, 2)
     assert [(f.kind, f.graph6) for f in table.violations] == [("upper-bound", "BW")]
+    finding = table.violations[0]
+    assert finding == Finding("upper-bound", "BW", 3, "failed number 2 above n - 2 = 1")
+    assert hash(finding) == hash(Finding(kind="upper-bound", graph6="BW", n=3,
+                                         detail="failed number 2 above n - 2 = 1"))
+    with pytest.raises(AttributeError):
+        finding.n = 4
 
 
 def test_table_text_layout():

@@ -6,6 +6,7 @@ import pytest
 
 from zeroforcing import (
     ExactCapExceeded,
+    ExactResult,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -58,6 +59,10 @@ def test_witnesses_are_what_they_claim():
     assert derived_set(g, f.witness) != g.full
     # first witness in subset order from the top
     assert f.witness == mask_of([0, 2])
+    assert f == ExactResult(2, 0b0101) == ExactResult(witness=0b0101, value=2)
+    assert hash(f) == hash(ExactResult(2, 0b0101))
+    with pytest.raises(AttributeError):
+        f.value = 3
 
 
 def test_single_vertex():

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -38,6 +39,16 @@ def test_from_edges_basics():
     assert g.min_degree() == 1 and g.max_degree() == 2
     assert edges(g) == [(0, 1), (1, 2), (2, 3)]
     assert g.full == 0b1111
+    # a value: equal and equally hashed by n and adj alone, never equal
+    # to a plain (n, adj) tuple, and intact through pickle (the census
+    # pool pickles its slices)
+    same = from_edges(4, [(3, 2), (2, 1), (1, 0)])
+    assert g == same and hash(g) == hash(same) and not g != same
+    assert g != from_edges(4, [(0, 1), (1, 2)]) and g != from_edges(5, edges(g))
+    assert g != (4, g.adj) and (4, g.adj) != g
+    assert len({g, same, path_graph(4)}) == 1
+    assert pickle.loads(pickle.dumps(g)) == g
+    assert repr(g) == "Graph(n=4, adj=(2, 5, 10, 4))" == repr(pickle.loads(pickle.dumps(g)))
 
 
 def test_from_edges_rejects_bad_input():

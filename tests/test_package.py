@@ -1,5 +1,8 @@
 import ast
 import doctest
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import zeroforcing
@@ -11,6 +14,19 @@ def test_star_import_and_unique_exports():
     exec("from zeroforcing import *", namespace)
     assert set(zeroforcing.__all__) <= set(namespace)
     assert len(zeroforcing.__all__) == len(set(zeroforcing.__all__))
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every zeroforcing process pays for this import before it reads a
+    # graph; dataclasses alone pulls in inspect, dis, ast and tokenize.
+    # -S keeps a site hook from loading it first.
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = ("import sys, zeroforcing.cli\n"
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, cwd=root,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_readme_library_example_runs():

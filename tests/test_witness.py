@@ -62,6 +62,10 @@ def test_verify_witness_flags_forcing_sets():
     assert verify_witness(g, bad) == ("set forces the whole graph",)
     good = WitnessReport(filled=mask_of([1]), route="made-up", guaranteed_bound=1)
     assert verify_witness(g, good) == ()
+    assert good == WitnessReport(0b010, "made-up", 1) != bad
+    assert hash(good) == hash(WitnessReport(0b010, "made-up", 1))
+    with pytest.raises(AttributeError):
+        good.filled = 0
 
 
 def test_verify_witness_flags_vertices_outside_the_graph():
