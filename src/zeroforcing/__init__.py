@@ -31,11 +31,9 @@ from .graph_core import (
     Graph,
     complete_bipartite,
     complete_graph,
-    condense_path,
     connected_components,
     cycle_graph,
     from_edges,
-    induced_subgraph,
     is_connected,
     iter_bits,
     mask_of,
@@ -65,14 +63,12 @@ __all__ = [
     "check_values",
     "complete_bipartite",
     "complete_graph",
-    "condense_path",
     "connected_components",
     "cycle_graph",
     "derived_set",
     "failed_zero_forcing_number",
     "from_edges",
     "generate_graphs",
-    "induced_subgraph",
     "is_connected",
     "is_zero_forcing",
     "iter_bits",

@@ -131,53 +131,6 @@ def is_connected(g: Graph) -> bool:
     return g.n > 0 and reached == g.full
 
 
-def _reindex(g: Graph, keep: int) -> tuple[list[int], tuple[int, ...]]:
-    """Rows of the subgraph induced on a mask, its vertices renumbered
-    ascending, and the original index of each new vertex."""
-    old = vertices_of(keep)
-    new = {o: i for i, o in enumerate(old)}
-    rows = []
-    for o in old:
-        row = 0
-        for u in iter_bits(g.adj[o] & keep):
-            row |= 1 << new[u]
-        rows.append(row)
-    return rows, old
-
-
-def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced on a nonempty vertex mask, plus the original index
-    of each of its vertices (old[i] for new vertex i)."""
-    if keep == 0:
-        raise ValueError("induced subgraph needs at least one vertex")
-    rows, old = _reindex(g, keep)
-    return Graph(len(old), tuple(rows)), old
-
-
-def condense_path(g: Graph, v: int, x: int, y: int) -> tuple[Graph, tuple[int, ...], int]:
-    """Contract the induced path x - v - y into a single new vertex.
-
-    v must have exactly the neighbors x and y.  The result keeps every other
-    vertex (reindexed ascending), appends the replacement vertex last, and
-    joins it to the surviving neighbors of x and y.  Dropping x and y from
-    the replacement's neighborhood keeps the result simple.
-    Returns (graph, original index of each kept vertex, replacement index).
-    """
-    if g.adj[v] != (1 << x) | (1 << y) or x == y:
-        raise ValueError(f"vertex {v} does not have exactly the neighbors {x} and {y}")
-    drop = (1 << v) | (1 << x) | (1 << y)
-    attach = (g.adj[x] | g.adj[y]) & ~drop
-    rows, old = _reindex(g, g.full & ~drop)
-    w = len(old)
-    w_row = 0
-    for i, o in enumerate(old):
-        if attach >> o & 1:
-            rows[i] |= 1 << w
-            w_row |= 1 << i
-    rows.append(w_row)
-    return Graph(w + 1, tuple(rows)), old, w
-
-
 # ---------------------------------------------------------------------------
 # Named families, mostly for tests and documentation examples.
 

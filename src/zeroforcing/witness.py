@@ -4,10 +4,10 @@ Each construction returns a WitnessReport: a vertex mask that provably
 fails to force, the structural route that built it, and the size bound
 that route guarantees.  Graphs with minimum degree 3 fill the larger side
 of a locally maximal cut; lower minimum degrees recurse on a smaller graph
-(deleting a leaf edge, or contracting the path around a degree-2 vertex)
-and lift the result back.  Every report is re-verified against the forcing
-rule before it is returned, so a broken case analysis fails loudly instead
-of silently.
+(deleting a leaf together with its neighbor, or contracting the path
+around a degree-2 vertex) and lift the result back.  Every report is
+re-verified against the forcing rule before it is returned, so a broken
+case analysis fails loudly instead of silently.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from typing import Callable, NamedTuple
 from .forcing import derived_set
 from .graph_core import (
     Graph,
-    condense_path,
     connected_components,
-    induced_subgraph,
     iter_bits,
     mask_of,
     vertices_of,
@@ -156,6 +154,25 @@ def _general(g: Graph) -> WitnessReport:
     )
 
 
+def _reindex(g: Graph, keep: int) -> tuple[list[int], tuple[int, ...]]:
+    """Rows of the subgraph induced on a mask, its vertices renumbered
+    ascending, and the original index of each new vertex.
+
+    Both reductions number their smaller graph this way, so its
+    lowest-index-first tie-breaks follow the survivors' order in g, and
+    each lift maps a vertex i back to old[i].
+    """
+    old = vertices_of(keep)
+    new = {o: i for i, o in enumerate(old)}
+    rows = []
+    for o in old:
+        row = 0
+        for u in iter_bits(g.adj[o] & keep):
+            row |= 1 << new[u]
+        rows.append(row)
+    return rows, old
+
+
 def _leaf_pair(g: Graph, v: int) -> tuple[Graph, Callable[[int], tuple[int, str]]]:
     """Delete the leaf v and its neighbor w, with a lift of any stalled set
     of the rest: if w still touches an unfilled surviving vertex, adding w
@@ -163,7 +180,8 @@ def _leaf_pair(g: Graph, v: int) -> tuple[Graph, Callable[[int], tuple[int, str]
     """
     w = g.adj[v].bit_length() - 1
     keep = g.full & ~(1 << v) & ~(1 << w)
-    sub, old = induced_subgraph(g, keep)
+    rows, old = _reindex(g, keep)
+    sub = Graph(len(old), tuple(rows))
 
     def lift(filled: int) -> tuple[int, str]:
         lifted = mask_of(old[u] for u in iter_bits(filled))
@@ -175,8 +193,9 @@ def _leaf_pair(g: Graph, v: int) -> tuple[Graph, Callable[[int], tuple[int, str]
 
 
 def _degree2_path(g: Graph, v: int) -> tuple[Graph, Callable[[int], tuple[int, str]]]:
-    """Contract the path x - v - y through the degree-2 vertex v into w, with
-    a lift of any stalled set of the result by cases.
+    """Contract the path x - v - y through the degree-2 vertex v into a new
+    vertex w, numbered last and joined to the surviving neighbors of x and
+    y, with a lift of any stalled set of the result by cases.
 
     With w outside the set, refill v alone.  With w inside: if w was spent,
     swap it for v, x, y; if w still had unfilled neighbors on both the x
@@ -184,9 +203,19 @@ def _degree2_path(g: Graph, v: int) -> tuple[Graph, Callable[[int], tuple[int, s
     side, swap it for v, x, y.
     """
     x, y = vertices_of(g.adj[v])
-    sub, old, w = condense_path(g, v, x, y)
     bv, bx, by = 1 << v, 1 << x, 1 << y
     x_side, y_side = g.adj[x] & ~bv, g.adj[y] & ~bv
+    drop = bv | bx | by
+    attach = (g.adj[x] | g.adj[y]) & ~drop
+    rows, old = _reindex(g, g.full & ~drop)
+    w = len(old)
+    w_row = 0
+    for i, o in enumerate(old):
+        if attach >> o & 1:
+            rows[i] |= 1 << w
+            w_row |= 1 << i
+    rows.append(w_row)
+    sub = Graph(w + 1, tuple(rows))
 
     def lift(filled: int) -> tuple[int, str]:
         lifted = mask_of(old[u] for u in iter_bits(filled & ~(1 << w)))

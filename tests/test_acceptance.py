@@ -1,7 +1,9 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Run with -v to get one pass/fail line per criterion.  The n <= 8 census
-behind criteria 2-7 runs once per session (see conftest); criterion 9
+Run with -v to get one pass/fail line per criterion.  Criterion 8, the
+closure properties and the stalled sets they imply, is
+tests/test_properties.py, which pytest collects on its own.  The n <= 8
+census behind criteria 2-7 runs once per session (see conftest); criterion 9
 runs the n <= 9 census at two jobs and checks its class counts, all and
 connected, and its tables.  The graph6 round trips of every class with
 n <= 8 are in test_graph6_io.  The n = 10 census, which completes the
@@ -101,16 +103,6 @@ def test_criterion_6_constructive_soundness():
 def test_criterion_7_conjecture_detector(census_n8):
     assert not any(f.kind == "conjecture" for f in census_n8.violations)
     assert any(kind == "conjecture" for kind, _ in check_values(9, zero=2, failed=2))
-
-
-def test_criterion_8_property_suites():
-    import test_properties as props
-
-    props.test_closure_is_extensive_and_idempotent()
-    props.test_closure_is_monotone()
-    props.test_closure_is_confluent()
-    props.test_maximum_failed_sets_are_stalled()
-    props.test_unspent_stalled_sets_survive_any_edge_addition()
 
 
 # sha256 of the n <= 9 document, `census --max-n 9 --k-max 4 --format structured`

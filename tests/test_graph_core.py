@@ -6,12 +6,10 @@ import pytest
 from zeroforcing import (
     complete_bipartite,
     complete_graph,
-    condense_path,
     connected_components,
     cycle_graph,
     from_edges,
     generate_graphs,
-    induced_subgraph,
     is_connected,
     iter_bits,
     mask_of,
@@ -102,31 +100,4 @@ def test_is_connected_matches_the_components():
     for g in graphs:
         assert is_connected(g) == (len(connected_components(g)) == 1), g
     assert is_connected(from_edges(1, []))
-
-
-def test_induced_subgraph():
-    g = cycle_graph(5)
-    sub, old = induced_subgraph(g, mask_of([0, 1, 3]))
-    assert sub.n == 3
-    assert old == (0, 1, 3)
-    assert edges(sub) == [(0, 1)]
-
-
-def test_condense_path():
-    g = cycle_graph(5)
-    sub, old, w = condense_path(g, 1, 0, 2)
-    assert sub.n == 3 and w == 2
-    assert old == (3, 4)
-    # w inherits the outside neighborhoods of both ends
-    assert edges(sub) == [(0, 1), (0, 2), (1, 2)]
-    with pytest.raises(ValueError):
-        condense_path(g, 1, 0, 3)
-
-
-def test_condense_path_keeps_existing_attachment():
-    g = from_edges(5, [(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (0, 2)])
-    sub, old, w = condense_path(g, 1, 0, 2)
-    assert sub.n == 3
-    assert old == (3, 4)
-    assert set(edges(sub)) == {(0, 1), (0, 2)}
 
