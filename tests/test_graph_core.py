@@ -16,6 +16,7 @@ from zeroforcing import (
     path_graph,
     vertices_of,
 )
+from zeroforcing import witness
 
 from conftest import edges, petersen_graph, random_graph
 from naive import adj_sets, naive_components
@@ -101,3 +102,41 @@ def test_is_connected_matches_the_components():
         assert is_connected(g) == (len(connected_components(g)) == 1), g
     assert is_connected(from_edges(1, []))
 
+
+
+# Induced subgraphs and path condensation are built by the witness
+# reductions, which number the survivors in ascending order; each lift
+# maps a new vertex back to its old index.
+def test_induced_subgraph():
+    # the leaf pair: leaf 4 and its neighbor 2 go, the survivors 0, 1, 3
+    # keep their order, and the lift maps each back to its old index
+    g = from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    sub, lift = witness._leaf_pair(g, 4)
+    assert sub.n == 3
+    assert edges(sub) == [(0, 1)]
+    for i, o in enumerate((0, 1, 3)):
+        assert lift(1 << i)[0] & ~mask_of([2, 4]) == 1 << o
+    assert lift(mask_of([0, 1])) == (mask_of([0, 1, 2]), "delta1-a")
+
+
+def test_condense_path():
+    # the path 0 - 1 - 2 of C5 contracts to the merged vertex 2, which gets
+    # the outside neighbors of both ends: 4 of x = 0 and 3 of y = 2
+    sub, lift = witness._degree2_path(cycle_graph(5), 1)
+    assert sub.n == 3
+    assert edges(sub) == [(0, 1), (0, 2), (1, 2)]
+    assert lift(1 << 0) == (mask_of([1, 3]), "delta2-case1")
+    assert lift(1 << 1) == (mask_of([1, 4]), "delta2-case1")
+    assert lift(1 << 2) == (mask_of([0, 2]), "delta2-case2bi")
+
+
+def test_condense_path_keeps_existing_attachment():
+    # vertex 3, already adjacent to both ends, gets one edge to the
+    # merged vertex, not two
+    g = from_edges(5, [(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (0, 2)])
+    sub, lift = witness._degree2_path(g, 1)
+    assert sub.n == 3
+    assert edges(sub) == [(0, 1), (0, 2)]
+    assert sub.degree(2) == 1
+    assert lift(1 << 0) == (mask_of([1, 3]), "delta2-case1")
+    assert lift(1 << 1) == (mask_of([1, 4]), "delta2-case1")

@@ -246,35 +246,6 @@ def test_route_that_does_not_stall_fails_loudly(monkeypatch, capsys):
     assert "construction failed" in capsys.readouterr().err
 
 
-def test_reductions_renumber_and_lift():
-    # the leaf pair: leaf 4 and its neighbor 2 go, the survivors 0, 1, 3
-    # keep their order, and the lift maps each back to its old index
-    g = from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-    sub, lift = witness._leaf_pair(g, 4)
-    assert sub.n == 3
-    assert edges(sub) == [(0, 1)]
-    for i, o in enumerate((0, 1, 3)):
-        assert lift(1 << i)[0] & ~mask_of([2, 4]) == 1 << o
-    assert lift(mask_of([0, 1])) == (mask_of([0, 1, 2]), "delta1-a")
-    # the path 0 - 1 - 2 of C5 contracts to the merged vertex 2, which gets
-    # the outside neighbors of both ends: 4 of x = 0 and 3 of y = 2
-    sub, lift = witness._degree2_path(cycle_graph(5), 1)
-    assert sub.n == 3
-    assert edges(sub) == [(0, 1), (0, 2), (1, 2)]
-    assert lift(1 << 0) == (mask_of([1, 3]), "delta2-case1")
-    assert lift(1 << 1) == (mask_of([1, 4]), "delta2-case1")
-    assert lift(1 << 2) == (mask_of([0, 2]), "delta2-case2bi")
-    # vertex 3, already adjacent to both ends, gets one edge to the
-    # merged vertex, not two
-    g = from_edges(5, [(0, 1), (1, 2), (0, 3), (2, 3), (3, 4), (0, 2)])
-    sub, lift = witness._degree2_path(g, 1)
-    assert sub.n == 3
-    assert edges(sub) == [(0, 1), (0, 2)]
-    assert sub.degree(2) == 1
-    assert lift(1 << 0) == (mask_of([1, 3]), "delta2-case1")
-    assert lift(1 << 1) == (mask_of([1, 4]), "delta2-case1")
-
-
 def lift_at_every_low_degree_vertex(n, stalled_sets):
     """Reduce every connected n-vertex class at each vertex of degree 1 or 2,
     lift the given stalled sets of the reduced graph and check the paper's
