@@ -8,7 +8,9 @@ The zero forcing number comes from the wavefront of Brimkov, Fast and
 Hicks ("Computational approaches for zero forcing and related problems",
 EJOR 273, 2019): a cheapest-first search over closed sets finds the
 value, and then a depth-first search over the sets of that size, pruned
-by closure, finds the witness.
+by closure, finds the witness.  A closure that one force settles, a kept
+neighbor of the dropped vertex with no other neighbor outside, is not
+computed.
 
 The failed zero forcing number comes from forts (Fetcie, Jacob and
 Saavedra, "The failed zero forcing number of a graph", Involve 8, 2015).
@@ -25,7 +27,10 @@ smallest sizes are settled by rule, with no search:
 
 A smallest fort of three or more vertices comes from one depth-first
 search under a size cap raised one vertex at a time.  Each size resumes
-from the nodes the last cap cut off, so no size is searched twice.
+from the nodes the last cap cut off, so no size is searched twice.  The
+search carries the vertices with one and with two neighbors in the fort,
+so a node one vertex short of the cap tests every last vertex in one
+pass instead of branching on it.
 """
 
 from __future__ import annotations
@@ -146,8 +151,10 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
     vertex, so the sets of size Z are met in ascending order.  The outside
     branch is pruned when the inside and the other undecided vertices
     together do not force (closure is monotone, so no set below it does).
-    A node with no places left, or as many as undecided vertices, holds
-    one set.
+    The closure is skipped when one force settles it: a kept neighbor u
+    of the dropped vertex v whose other neighbors are all kept forces v,
+    and the kept vertices plus v force, as every node's do.  A node with
+    no places left, or as many as undecided vertices, holds one set.
     """
     _check_cap(g, cap)
     adj, full = g.adj, g.full
@@ -159,26 +166,26 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
             return inside | undecided
         if not places:
             return inside if _derived(adj, full, inside) == full else None
-        bit = 1 << (undecided.bit_length() - 1)
+        v = undecided.bit_length() - 1
+        bit = 1 << v
         rest = undecided ^ bit
-        found = search(inside, rest, places) if _derived(adj, full, inside | rest) == full else None
+        kept = inside | rest
+        # a kept neighbor of v with no neighbor left out above this node forces v
+        gaps = full & ~(inside | undecided)
+        quick = adj[v] & kept
+        while quick:
+            u = quick & -quick
+            if not adj[u.bit_length() - 1] & gaps:
+                break
+            quick ^= u
+        found = (search(inside, rest, places)
+                 if quick or _derived(adj, full, kept) == full else None)
         return found if found is not None else search(inside | bit, rest, places - 1)
 
     witness = search(0, full, value)
     if witness is None:
         raise AssertionError("the wavefront cost is always reached by some subset")
     return ExactResult(value, witness)
-
-
-def _is_fort(adj: tuple[int, ...], fort: int, outside: int) -> bool:
-    """No vertex of outside has exactly one neighbor in fort."""
-    while outside:
-        bit = outside & -outside
-        outside ^= bit
-        hit = adj[bit.bit_length() - 1] & fort
-        if hit and not hit & (hit - 1):
-            return False
-    return True
 
 
 def _smallest_fort(adj: tuple[int, ...], full: int) -> int:
@@ -192,6 +199,11 @@ def _smallest_fort(adj: tuple[int, ...], full: int) -> int:
     one, so the inside branch holds only larger forts than the outside
     branch, and forts are met in descending numeric order.
 
+    Each node carries two masks: some, the vertices with at least one
+    neighbor inside, and two, those with at least two.  A vertex w that
+    joins the inside, by branching or by settling, updates them with
+    two |= some & adj[w], then some |= adj[w].
+
     Each node first settles what its excluded vertices imply.  An
     excluded vertex u with one neighbor inside and none undecided breaks
     the fort; with one inside and one undecided, that neighbor must join;
@@ -202,67 +214,94 @@ def _smallest_fort(adj: tuple[int, ...], full: int) -> int:
     examined, and each decision marks the ones it touches.  Settling does
     not read the cap.
 
-    A node whose fort has reached the cap is a leaf: the rest of the
-    vertices stay outside, and one fort test decides it.  The cap cuts a
-    node off when its settled fort is over the cap, or at the cap with
-    vertices still undecided.  The search records each cut node, settled,
-    in the order it meets them, and the next cap resumes from those nodes
-    in that order instead of from the root.  A search from the root at
-    the next cap would walk the same tree, except that it goes on below
-    the cut nodes.  Every leaf it meets outside their subtrees is a leaf
-    of the last search with the same fort test, which failed.  The cut
-    nodes' subtrees are disjoint and lie in depth-first order, so their
-    leaves come in the same order as in that search.  So the first fort
-    met at each cap is the one the search from the root would meet first:
-    as no smaller fort exists, the numerically largest fort of exactly
-    cap vertices.
+    A settled node one vertex short of the cap takes its last vertex in
+    one pass.  Its forts at the cap are the sets inside | x, for an
+    undecided x, with every other vertex outside.  Such a set is a fort
+    exactly when x equals or neighbors every vertex of one (the vertices
+    not inside with exactly one neighbor inside) and neighbors no vertex
+    of none (those not inside with no neighbor inside).  one is never
+    empty, since inside is too small to be a fort, so only the x on or
+    next to its lowest vertex are tried, highest first.  The branching
+    would meet the largest such fort first, and settling skips no fort,
+    so the pass returns the fort the branching would.  A settled node
+    whose fort is at the cap is a fort exactly when one is empty.
 
-    The cut nodes are kept as two words each, inside and outside, in an
-    unsigned 64-bit array (n <= 62), 16 bytes a node.  On a path their
-    number doubles with each size, to 2^(n/2 - 1) at the last.
+    The cap cuts a node off when its settled fort is over the cap, at
+    the cap with vertices still undecided, or one short of the cap with
+    vertices undecided and no last vertex that makes a fort.  The search
+    records each cut node, settled, in the order it meets them, and the
+    next cap resumes from those nodes in that order instead of from the
+    root.  A search from the root at the next cap would walk the same
+    tree, except that it goes on below the cut nodes.  Outside their
+    subtrees it meets only nodes with no vertex undecided, whose fort is
+    too small or failed its test at the last cap.  A node one short of
+    the cap stands for its whole subtree at that cap, whose leaves are
+    all inside | x, none a fort, so recording it in their place keeps
+    their position in the order.  The cut nodes' subtrees are disjoint
+    and lie in depth-first order, so their leaves come in the same order
+    as in that search.  So the first fort met at each cap is the one the
+    search from the root would meet first: as no smaller fort exists, the
+    numerically largest fort of exactly cap vertices.
+
+    The cut nodes are kept as four words each, inside, outside, some and
+    two, in an unsigned 64-bit array (n <= 62), 32 bytes a node, so a
+    resumed node never recounts its neighbors.  Recording nodes one short
+    of the cap halves their number: on a path it doubles with each size,
+    to 2^(n/2 - 2) at the last.
     """
     cap = 3
     cut = array("Q")
 
-    def search(inside: int, outside: int, dirty: int) -> int | None:
+    def search(inside: int, outside: int, some: int, two: int, dirty: int) -> int | None:
+        # some and two: the vertices with at least one and at least two neighbors inside
         while dirty:
             bit = dirty & -dirty
             dirty ^= bit
-            nbrs = adj[bit.bit_length() - 1]
-            hit = nbrs & inside
-            if hit & (hit - 1):
+            if bit & two:
                 continue  # two or more inside: u is satisfied for good
+            nbrs = adj[bit.bit_length() - 1]
             open_ = nbrs & ~(inside | outside)
             if open_ & (open_ - 1):
                 continue
-            if hit:
+            if bit & some:
                 if not open_:
                     return None
                 inside |= open_
-                dirty |= adj[open_.bit_length() - 1] & outside
+                row = adj[open_.bit_length() - 1]
+                two |= some & row
+                some |= row
+                dirty |= row & outside
             elif open_:
                 outside |= open_
                 dirty |= adj[open_.bit_length() - 1] & outside | open_
         size = inside.bit_count()
-        if size > cap:
-            cut.append(inside)
-            cut.append(outside)
-            return None
         undecided = full & ~(inside | outside)
-        if size < cap and undecided:
+        if size < cap - 1 and undecided:
             v = undecided.bit_length() - 1
             bit = 1 << v
-            touched = adj[v] & outside
-            return (search(inside | bit, outside, touched)
-                    or search(inside, outside | bit, touched | bit))
-        if inside and _is_fort(adj, inside, full ^ inside):
+            row = adj[v]
+            touched = row & outside
+            return (search(inside | bit, outside, some | row, two | some & row, touched)
+                    or search(inside, outside | bit, some, two, touched | bit))
+        if size == cap - 1:
+            one = some & ~two & ~inside
+            none = full & ~some & ~inside
+            y = one & -one
+            rest = undecided & (adj[y.bit_length() - 1] | y)
+            while rest:
+                x = rest.bit_length() - 1
+                bit = 1 << x
+                row = adj[x]
+                if not (one & ~(row | bit) or row & none):
+                    return inside | bit
+                rest ^= bit
+        elif size == cap and not some & ~two & ~inside:
             return inside
-        if undecided:
-            cut.append(inside)
-            cut.append(outside)
+        if undecided or size > cap:
+            cut.extend((inside, outside, some, two))
         return None
 
-    fort = search(0, 0, 0)
+    fort = search(0, 0, 0, 0, 0)
     while not fort:
         if not cut:
             raise AssertionError("the whole vertex set is a fort")
@@ -270,7 +309,7 @@ def _smallest_fort(adj: tuple[int, ...], full: int) -> int:
         nodes = iter(cut)
         cut = array("Q")
         for inside in nodes:
-            fort = search(inside, next(nodes), 0)
+            fort = search(inside, next(nodes), next(nodes), next(nodes), 0)
             if fort:
                 break
     return fort

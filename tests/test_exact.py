@@ -140,6 +140,30 @@ def test_extended_deep_fort_searches_match_naive():
     _assert_deep_fort_searches(_sparse_shapes(range(17, 21), seed=54))
 
 
+def _dense_twin_free(ns, degrees, seed):
+    """One connected, twin-free G(n, m) graph per n in ns and average
+    degree in degrees, m = n * degree / 2 rounded, by rejection."""
+    rng = random.Random(seed)
+    graphs = []
+    for n in ns:
+        pairs = list(itertools.combinations(range(n), 2))
+        for degree in degrees:
+            while True:
+                g = from_edges(n, rng.sample(pairs, round(n * degree / 2)))
+                if is_connected(g) and not _twin_pairs(adj_sets(g)):
+                    graphs.append(g)
+                    break
+    return graphs
+
+
+def test_dense_fort_searches_match_naive():
+    # the shape of analyze-mid's dense graphs: the fort search ends at 3 to 5 vertices,
+    # where nodes one short of the cap take their last vertex in one pass
+    for g in _dense_twin_free(range(13, 17), (4, 5, 6, 7, 8) * 2, seed=62):
+        assert 3 <= g.n - failed_zero_forcing_number(g).value <= 5, write_graph6(g)
+        _assert_first_witnesses(g)
+
+
 def test_failed_number_is_n_minus_smallest_fort():
     for n in range(1, 8):
         for g in generate_graphs(n):
