@@ -62,7 +62,7 @@ def _build_parser() -> _Parser:
 
     census = sub.add_parser("census", help="tables over all connected classes")
     census.add_argument("--max-n", type=int, required=True,
-                        help="largest vertex count, 1 to 10; 10 takes about 9 min of CPU")
+                        help="largest vertex count, 1 to 10; 10 takes about 7 min of CPU")
     census.add_argument("--k-max", type=int, default=4,
                         help="largest F tallied, 1 to 10; exact Z runs only for classes "
                              "with F <= k-max or n > F + 4 (default %(default)s)")

@@ -8,9 +8,9 @@ The zero forcing number comes from the wavefront of Brimkov, Fast and
 Hicks ("Computational approaches for zero forcing and related problems",
 EJOR 273, 2019): a cheapest-first search over closed sets finds the
 value, and then a depth-first search over the sets of that size, pruned
-by closure, finds the witness.  A closure that one force settles, a kept
-neighbor of the dropped vertex with no other neighbor outside, is not
-computed.
+by closure, finds the witness.  That closure is skipped where one force
+settles it: a kept neighbor of the dropped vertex with no other neighbor
+left out forces it.
 
 The failed zero forcing number comes from forts (Fetcie, Jacob and
 Saavedra, "The failed zero forcing number of a graph", Involve 8, 2015).
@@ -153,8 +153,9 @@ def zero_forcing_number(g: Graph, cap: int = EXACT_CAP_DEFAULT) -> ExactResult:
     together do not force (closure is monotone, so no set below it does).
     The closure is skipped when one force settles it: a kept neighbor u
     of the dropped vertex v whose other neighbors are all kept forces v,
-    and the kept vertices plus v force, as every node's do.  A node with
-    no places left, or as many as undecided vertices, holds one set.
+    and the kept vertices plus v are the node's inside and undecided
+    vertices, which force.  A node with no places left, or as many as
+    undecided vertices, holds one set.
     """
     _check_cap(g, cap)
     adj, full = g.adj, g.full

@@ -136,7 +136,7 @@ N10_SHA256 = "dd3578709f3ca923dec52686c499869b82afc729bfc0522a16b01a4b546fb3b9"
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"),
-                    reason="about 9 min of CPU; set RUN_EXTENDED=1")
+                    reason="about 7 min of CPU; set RUN_EXTENDED=1")
 def test_extended_f4_row():
     # n <= 9 is checked by criterion 9; this adds the one n = 10 class
     table = run_census(max_n=10, k_max=4, jobs=os.cpu_count() or 1)
