@@ -234,8 +234,8 @@ def _smallest_fort(adj: tuple[int, ...], full: int) -> int:
     next cap resumes from those nodes in that order instead of from the
     root.  A search from the root at the next cap would walk the same
     tree, except that it goes on below the cut nodes.  Outside their
-    subtrees it meets only nodes with no vertex undecided, whose fort is
-    too small or failed its test at the last cap.  A node one short of
+    subtrees, every node it tests has no vertex undecided, and its fort
+    is too small or failed its test at the last cap.  A node one short of
     the cap stands for its whole subtree at that cap, whose leaves are
     all inside | x, none a fort, so recording it in their place keeps
     their position in the order.  The cut nodes' subtrees are disjoint
