@@ -15,13 +15,7 @@ from .census import (
     generate_graphs,
     run_census,
 )
-from .exact import (
-    EXACT_CAP_DEFAULT,
-    ExactCapExceeded,
-    ExactResult,
-    failed_zero_forcing_number,
-    zero_forcing_number,
-)
+from .exact import ExactResult, failed_zero_forcing_number, zero_forcing_number
 from .forcing import (
     derived_set,
     is_zero_forcing,
@@ -52,8 +46,6 @@ __all__ = [
     "BUILTIN_MAX",
     "CensusTable",
     "ConstructionError",
-    "EXACT_CAP_DEFAULT",
-    "ExactCapExceeded",
     "ExactResult",
     "Finding",
     "Graph",

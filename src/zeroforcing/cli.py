@@ -18,12 +18,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .census import check_census_args, run_census
-from .exact import (
-    EXACT_CAP_DEFAULT,
-    ExactCapExceeded,
-    failed_zero_forcing_number,
-    zero_forcing_number,
-)
+from .exact import failed_zero_forcing_number, zero_forcing_number
 from .forcing import derived_set, is_zero_forcing
 from .graph6_io import Graph6Error, parse_graph6, read_records
 from .graph_core import Graph, is_connected, vertices_of
@@ -32,6 +27,8 @@ from .witness import ConstructionError, verify_witness, witness_general
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+
+_EXACT_CAP = 20  # --exact-cap's default: the largest n searched exactly
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +49,7 @@ def _build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="exact numbers and a verified construction")
     analyze.add_argument("graphs", nargs="*", help="graph6 records (default: stdin lines)")
-    analyze.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
+    analyze.add_argument("--exact-cap", type=int, default=_EXACT_CAP,
                          help="largest n for the exact Z and F searches (default %(default)s)")
     analyze.add_argument("--format", choices=("table", "structured"), default="table")
 
@@ -98,12 +95,12 @@ def _analysis_document(graph6: str, g: Graph, cap: int) -> tuple[dict, bool]:
     }
     witness = _witness_block(g)
     ok = witness["verified"]
-    try:
-        zero = zero_forcing_number(g, cap)
-        failed = failed_zero_forcing_number(g, cap)
-    except ExactCapExceeded as exc:
-        doc["zero_forcing"] = doc["failed_zero_forcing"] = {"skipped": str(exc)}
+    if g.n > cap:
+        skipped = {"skipped": f"exact search over {g.n} vertices exceeds the cap of {cap}"}
+        doc["zero_forcing"] = doc["failed_zero_forcing"] = skipped
     else:
+        zero = zero_forcing_number(g)
+        failed = failed_zero_forcing_number(g)
         # Every set of F + 1 vertices forces, so Z <= F + 1, and no failed
         # set, the construction's included, has more than F vertices.
         zero_ok = (is_zero_forcing(g, zero.witness)

@@ -567,7 +567,7 @@ def test_census_pool_is_bounded_by_the_cores(monkeypatch):
         assert requested == pools, (cores, jobs)
 
 
-def test_census_rejects_missing_source_for_large_n():
+def test_census_rejects_max_n_above_builtin():
     # checked up front, before any level is generated
     with pytest.raises(ValueError, match="covers n = 1..10, not max_n=11"):
         run_census(max_n=11, k_max=4)

@@ -73,17 +73,27 @@ def test_analyze_rejects_cap_below_1(capsys):
 
 
 def test_analyze_respects_cap(capsys):
-    text = write_graph6(path_graph(12))
-    assert run(["analyze", "--format", "structured", "--exact-cap", "8", text]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert "skipped" in doc["zero_forcing"]
-    assert doc["witness"]["verified"] is True
+    def analyze(n, *cap):
+        record = write_graph6(path_graph(n))
+        assert run(["analyze", "--format", "structured", *cap, record]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["witness"]["verified"] is True
+        return doc["zero_forcing"], doc["failed_zero_forcing"]
+
+    zero, failed = analyze(8, "--exact-cap", "8")
+    assert (zero["value"], failed["value"]) == (1, 3)
+    skipped = {"skipped": "exact search over 9 vertices exceeds the cap of 8"}
+    assert analyze(9, "--exact-cap", "8") == (skipped, skipped)
+    zero, failed = analyze(20)
+    assert (zero["value"], failed["value"]) == (1, 9)
+    skipped = {"skipped": "exact search over 21 vertices exceeds the cap of 20"}
+    assert analyze(21) == (skipped, skipped)
 
 
 def test_analyze_rejects_witnesses_of_the_wrong_size(monkeypatch, capsys):
     # Each witness passes its closure check but does not have the claimed size.
-    monkeypatch.setattr(cli, "zero_forcing_number", lambda g, cap: ExactResult(1, 0b011))
-    monkeypatch.setattr(cli, "failed_zero_forcing_number", lambda g, cap: ExactResult(1, 0))
+    monkeypatch.setattr(cli, "zero_forcing_number", lambda g: ExactResult(1, 0b011))
+    monkeypatch.setattr(cli, "failed_zero_forcing_number", lambda g: ExactResult(1, 0))
     assert run(["analyze", "--format", "structured", write_graph6(path_graph(3))]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["zero_forcing"]["verified"] is False
@@ -97,7 +107,7 @@ def test_analyze_cross_checks_the_exact_values(monkeypatch, capsys):
     real_zero, real_failed = cli.zero_forcing_number, cli.failed_zero_forcing_number
     text = write_graph6(path_graph(7))
     # F = 2 is below the construction's 3 vertices 1 3 5
-    monkeypatch.setattr(cli, "failed_zero_forcing_number", lambda g, cap: ExactResult(2, 0b1010))
+    monkeypatch.setattr(cli, "failed_zero_forcing_number", lambda g: ExactResult(2, 0b1010))
     assert run(["analyze", "--format", "structured", text]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["zero_forcing"]["verified"] is True
@@ -105,7 +115,7 @@ def test_analyze_cross_checks_the_exact_values(monkeypatch, capsys):
     assert doc["witness"]["set"] == [1, 3, 5] and doc["witness"]["verified"] is True
     # Z = 3 is above F + 1 = 2 on the path on 3 vertices
     monkeypatch.setattr(cli, "failed_zero_forcing_number", real_failed)
-    monkeypatch.setattr(cli, "zero_forcing_number", lambda g, cap: ExactResult(3, 0b111))
+    monkeypatch.setattr(cli, "zero_forcing_number", lambda g: ExactResult(3, 0b111))
     assert run(["analyze", "--format", "structured", write_graph6(path_graph(3))]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["zero_forcing"]["verified"] is False

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from zeroforcing import (
-    ExactCapExceeded,
     ExactResult,
     complete_bipartite,
     complete_graph,
@@ -81,8 +80,8 @@ def _assert_first_witnesses(g):
 
 
 def test_matches_naive_for_all_small_classes():
-    # every class up to 6 vertices, and the connected ones on 7
-    for n in range(1, 8):
+    # every class up to 6 vertices, and the connected ones on 7 and 8
+    for n in range(1, 9):
         for g in generate_graphs(n):
             if n < 7 or is_connected(g):
                 _assert_first_witnesses(g)
@@ -271,7 +270,8 @@ def _closed_forms(ns, complete, bicliques):
 
 
 def test_closed_forms_above_the_cap():
-    # no naive oracle reaches past the cap, so the forms are checked against it below
+    # no naive oracle reaches past analyze's default cap of 20 vertices, so the
+    # forms are checked against it below
     small = _closed_forms(range(1, 10), range(2, 10),
                           [(a, b) for a in range(1, 5) for b in range(max(a, 2), 10 - a)])
     for g, z, witness, f in small:
@@ -281,18 +281,9 @@ def test_closed_forms_above_the_cap():
         assert witness in (None, first)
     large = [(8, 8)] + [(a, b) for a in (2, 3) for b in range(14, 31)]
     for g, z, witness, f in _closed_forms(range(21, 31), [24], large):
-        zero = zero_forcing_number(g, cap=g.n)
-        failed = failed_zero_forcing_number(g, cap=g.n)
+        zero = zero_forcing_number(g)
+        failed = failed_zero_forcing_number(g)
         assert (zero.value, failed.value) == (z, f), write_graph6(g)
         assert witness in (None, vertices_of(zero.witness))
         assert zero.witness.bit_count() == z and derived_set(g, zero.witness) == g.full
         assert failed.witness.bit_count() == f and derived_set(g, failed.witness) != g.full
-
-
-def test_cap_enforced():
-    g = path_graph(6)
-    with pytest.raises(ExactCapExceeded):
-        zero_forcing_number(g, cap=5)
-    with pytest.raises(ExactCapExceeded):
-        failed_zero_forcing_number(g, cap=5)
-    assert zero_forcing_number(g, cap=6).value == 1
