@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 
@@ -21,6 +22,7 @@ from zeroforcing import (
     write_graph6,
     zero_forcing_number,
 )
+from zeroforcing import cli
 
 from conftest import petersen_graph, random_graph
 from naive import (
@@ -287,3 +289,20 @@ def test_closed_forms_above_the_cap():
         assert witness in (None, vertices_of(zero.witness))
         assert zero.witness.bit_count() == z and derived_set(g, zero.witness) == g.full
         assert failed.witness.bit_count() == f and derived_set(g, failed.witness) != g.full
+
+
+def test_cap_enforced(capsys):
+    # The searches take any graph; only analyze applies a vertex cap.
+    g = path_graph(6)
+    assert zero_forcing_number(g).value == 1
+    assert failed_zero_forcing_number(g).value == 2
+
+    def analyze(cap):
+        assert cli.main(["analyze", "--format", "structured", "--exact-cap", cap, write_graph6(g)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        return doc["zero_forcing"], doc["failed_zero_forcing"]
+
+    skipped = {"skipped": "exact search over 6 vertices exceeds the cap of 5"}
+    assert analyze("5") == (skipped, skipped)
+    zero, failed = analyze("6")
+    assert (zero["value"], failed["value"]) == (1, 2)
